@@ -3,8 +3,9 @@
 Grover here is the textbook amplitude-amplification loop at desk scale:
 start from the uniform superposition H^n |0...0>, then repeat (diffusion
 * oracle). The oracle flips the sign of the single marked amplitude; the
-diffusion operator is H^n (2|0><0| - I) H^n, applied through the state
-kernel rather than as an explicit matrix. With theta = arcsin(2**(-n/2)),
+diffusion operator H^n (2|0><0| - I) H^n equals 2|s><s| - I for the
+uniform state |s>, so it runs as the inversion about the mean, one vector
+operation on the amplitudes in place. With theta = arcsin(2**(-n/2)),
 the success probability after k iterations is sin^2((2k+1) * theta),
 the closed form every run is checked against.
 """
@@ -13,11 +14,13 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from . import capacity
-from .circuit import Circuit, Instruction, apply
+from .circuit import Circuit, Instruction
 from .errors import DimensionMismatchError, QsimError
 from .gates import CNOT, H
-from .qstate import StateVector, zero_state
+from .qstate import StateVector
 
 
 def bell_circuit() -> Circuit:
@@ -49,50 +52,35 @@ class GroverResult(NamedTuple):
     success_probability: float
 
 
-def _hadamard_layer(num_qubits: int) -> Circuit:
-    return Circuit(num_qubits, [Instruction(H, (w,)) for w in range(num_qubits)])
-
-
-def _oracle(state: StateVector, marked: int) -> StateVector:
-    amps = state.amplitudes.copy()
+def _iterate(amps: np.ndarray, marked: int) -> None:
+    """One Grover iteration, in place: the oracle, then the diffusion."""
     amps[marked] = -amps[marked]
-    return StateVector(amps)
+    # H^n (2|0><0| - I) H^n = 2|s><s| - I for the uniform |s>: each
+    # amplitude becomes 2 * mean - amplitude.
+    np.subtract(2 * amps.mean(), amps, out=amps)
 
 
-def _reflect_about_zero(state: StateVector) -> StateVector:
-    # 2|0><0| - I: keep amplitude 0, negate the rest.
-    amps = state.amplitudes.copy()
-    amps[1:] = -amps[1:]
-    return StateVector(amps)
-
-
-def _diffusion(state: StateVector, h_layer: Circuit) -> StateVector:
-    return apply(h_layer, _reflect_about_zero(apply(h_layer, state)))
+def _search(spec: GroverSpec) -> tuple[np.ndarray, list[float]]:
+    """Final amplitudes and the success probability after 0, 1, ..., k iterations."""
+    capacity.check("grover", spec.num_qubits)
+    dim = 1 << spec.num_qubits
+    amps = np.full(dim, dim**-0.5, dtype=np.complex128)  # H^n |0...0>
+    trajectory = [float(abs(amps[spec.marked]) ** 2)]
+    for _ in range(spec.iterations):
+        _iterate(amps, spec.marked)
+        trajectory.append(float(abs(amps[spec.marked]) ** 2))
+    return amps, trajectory
 
 
 def grover_success_trajectory(spec: GroverSpec) -> list[float]:
     """Success probability after 0, 1, ..., spec.iterations iterations."""
-    capacity.check("grover", spec.num_qubits)
-    h_layer = _hadamard_layer(spec.num_qubits)
-    state = apply(h_layer, zero_state(spec.num_qubits))
-    trajectory = [float(abs(state.amplitudes[spec.marked]) ** 2)]
-    for _ in range(spec.iterations):
-        state = _diffusion(_oracle(state, spec.marked), h_layer)
-        trajectory.append(float(abs(state.amplitudes[spec.marked]) ** 2))
-    return trajectory
+    return _search(spec)[1]
 
 
 def grover_run(spec: GroverSpec) -> GroverResult:
     """Run the full loop and report the marked-state hit probability."""
-    capacity.check("grover", spec.num_qubits)
-    h_layer = _hadamard_layer(spec.num_qubits)
-    state = apply(h_layer, zero_state(spec.num_qubits))
-    for _ in range(spec.iterations):
-        state = _diffusion(_oracle(state, spec.marked), h_layer)
-    return GroverResult(
-        final_state=state,
-        success_probability=float(abs(state.amplitudes[spec.marked]) ** 2),
-    )
+    amps, trajectory = _search(spec)
+    return GroverResult(final_state=StateVector(amps), success_probability=trajectory[-1])
 
 
 def grover_success_closed_form(num_qubits: int, iterations: int) -> float:

@@ -3,7 +3,8 @@
 Defaults keep every operation desk-scale: state vectors up to 24 qubits
 (16M amplitudes), density matrices up to 10, explicit circuit unitaries up
 to 12, and the search demonstrator up to 20. Setting the environment
-variable ``QSIM_MAX_QUBITS`` to an integer overrides all four caps at once.
+variable ``QSIM_MAX_QUBITS`` to a positive integer overrides all four caps
+at once.
 """
 
 import os
@@ -30,11 +31,14 @@ def limit(kind: str) -> int:
     raw = os.environ.get(ENV_OVERRIDE)
     if raw is not None:
         try:
-            return int(raw)
+            cap = int(raw)
         except ValueError:
             raise CapacityError(
                 f"{ENV_OVERRIDE} must be an integer, got {raw!r}"
             ) from None
+        if cap < 1:
+            raise CapacityError(f"{ENV_OVERRIDE} must be at least 1, got {raw!r}")
+        return cap
     return _DEFAULTS[kind]
 
 

@@ -1,14 +1,23 @@
 """Circuit representation and execution.
 
 A circuit is a qubit count plus an ordered list of instructions, each a
-library gate bound to distinct wires (for CNOT, wires[0] is the control).
-Execution on state vectors uses an in-place tensor kernel that touches
-only the wires a gate acts on: O(2**n) per gate, no 2**n x 2**n matrix.
-:func:`embed` and :func:`unitary_of` build those full matrices explicitly
-and exist as the brute-force oracle the kernel is tested against.
+gate bound to distinct wires (for CNOT, wires[0] is the control).
 
-Density matrices evolve by unitary conjugation rho -> U rho U†, computed
-as two kernel passes (U rho, then U (U rho)†).
+One gate engine executes both representations. :func:`apply` copies the
+input amplitudes once and runs every gate in that buffer, touching only
+the blocks a gate changes: O(2**n) per gate, no 2**n x 2**n matrix. A
+monomial gate (diagonal, permutation, phase-permutation) multiplies the
+blocks whose phase is not 1 in place and moves the blocks of its cycles
+through one spare buffer; a dense gate (H, user gates) writes into the
+spare buffer, which then becomes the state. :func:`apply_density` runs
+rho -> U rho U† through the same engine, treating rho as a flat tensor
+of 2n qubits: U on the row wires w, conj(U) on the column wires w + n.
+The outputs come from valid inputs by unitary steps and are not
+validated again.
+
+:func:`embed` and :func:`unitary_of` build full matrices explicitly and
+exist as the brute-force oracle the engine is tested against; they stay
+off the execution path.
 """
 
 import numpy as np
@@ -21,7 +30,7 @@ from .errors import (
     WireOutOfRangeError,
 )
 from .gates import Gate
-from .qstate import DensityMatrix, StateVector
+from .qstate import DensityMatrix, StateVector, adopt_density, adopt_state
 
 
 class Instruction:
@@ -94,30 +103,89 @@ class Circuit:
         return f"Circuit(num_qubits={self.num_qubits}, instructions={len(self.instructions)})"
 
 
-def _kernel(amps: np.ndarray, gate: Gate, wires, num_qubits: int) -> np.ndarray:
-    """Apply a gate to the wire axes of a state tensor.
+def _blocks(buf: np.ndarray, wires, nbits: int) -> list:
+    """Views of ``buf`` for each value of the bits on ``wires``.
 
-    ``amps`` may carry trailing batch axes (used for density matrices);
-    the first ``num_qubits`` axes of the reshaped tensor are the qubits,
-    qubit 0 first. Single-qubit gates on a plain state take a flat
-    three-axis path: with qubit 0 as the most significant bit, wire w
-    splits the amplitudes into (2**w, 2, rest) blocks.
+    ``buf`` is a flat tensor of ``nbits`` qubits, qubit 0 the most
+    significant bit. View k holds the entries whose ``wires`` bits read k,
+    the first wire being the most significant bit of k, so view k lines up
+    with row and column k of the gate matrix.
     """
-    if gate.arity == 1 and amps.ndim == 1:
-        blocks = amps.reshape(1 << wires[0], 2, -1)
-        g = gate.matrix
-        out = np.empty_like(blocks)
-        out[:, 0, :] = g[0, 0] * blocks[:, 0, :] + g[0, 1] * blocks[:, 1, :]
-        out[:, 1, :] = g[1, 0] * blocks[:, 0, :] + g[1, 1] * blocks[:, 1, :]
-        return out.reshape(-1)
-    m = gate.arity
-    batch = amps.shape[1:] if amps.ndim > 1 else ()
-    psi = amps.reshape((2,) * num_qubits + batch)
-    gt = gate.matrix.reshape((2,) * (2 * m))
-    # Contract the gate's input axes with the wire axes, then restore order.
-    psi = np.tensordot(gt, psi, axes=(tuple(range(m, 2 * m)), tuple(wires)))
-    psi = np.moveaxis(psi, tuple(range(m)), tuple(wires))
-    return psi.reshape((-1,) + batch)
+    shape, prev = [], 0
+    for w in sorted(wires):
+        shape += [1 << (w - prev), 2]
+        prev = w + 1
+    shape.append(1 << (nbits - prev))
+    tensor = buf.reshape(shape)
+    axis = {w: 2 * k + 1 for k, w in enumerate(sorted(wires))}
+    m = len(wires)
+    views = []
+    for sub in range(1 << m):
+        index = [slice(None)] * len(shape)
+        for j, w in enumerate(wires):
+            index[axis[w]] = (sub >> (m - 1 - j)) & 1
+        views.append(tensor[tuple(index)])
+    return views
+
+
+def _move(dst: np.ndarray, src: np.ndarray, phase: complex) -> None:
+    if phase == 1:
+        np.copyto(dst, src)
+    else:
+        np.multiply(phase, src, out=dst)
+
+
+def _apply_gate(buf, spare, gate: Gate, wires, nbits: int, conj: bool):
+    """Apply ``gate`` (its complex conjugate if ``conj``) to ``wires`` of ``buf``.
+
+    ``buf`` and ``spare`` are flat arrays of 2**nbits entries; returns them
+    as (state, spare) after the gate. A monomial gate works in place:
+    re-phased blocks are multiplied where they lie and each cycle moves its
+    blocks along, ``spare`` holding the first one. A dense gate writes its
+    output into ``spare``, so the two arrays trade roles; row r is
+    g[r,0]*b0 + g[r,1]*b1 + ..., summed left to right.
+
+    Products put the scalar first: numpy's fused multiply-add loops round
+    scalar*array and array*scalar differently, and this order keeps
+    1-qubit results bit-identical to the plain ``g[0,0]*b0 + g[0,1]*b1``.
+    """
+    blocks = _blocks(buf, wires, nbits)
+    if gate.cycles is not None:
+        for cycle in gate.cycles:
+            rows = [blocks[r] for r, _ in cycle]
+            phases = [p.conjugate() if conj else p for _, p in cycle]
+            held = rows[0]
+            if len(rows) > 1:
+                held = spare[: held.size].reshape(held.shape)
+                np.copyto(held, rows[0])
+            for dst, src, phase in zip(rows, rows[1:], phases):
+                _move(dst, src, phase)
+            _move(rows[-1], held, phases[-1])
+        return buf, spare
+    g = gate.matrix.conj() if conj else gate.matrix
+    out = _blocks(spare, wires, nbits)
+    last = len(out) - 1
+    # The last output block is scratch until its own row, which then
+    # scales the input blocks in place: no later row reads them.
+    for r in range(last):
+        np.multiply(g[r, 0], blocks[0], out=out[r])
+        for c in range(1, last + 1):
+            np.multiply(g[r, c], blocks[c], out=out[last])
+            np.add(out[r], out[last], out=out[r])
+    np.multiply(g[last, 0], blocks[0], out=out[last])
+    for c in range(1, last + 1):
+        np.multiply(g[last, c], blocks[c], out=blocks[c])
+        np.add(out[last], blocks[c], out=out[last])
+    return spare, buf
+
+
+def _run(tensor: np.ndarray, steps, nbits: int) -> np.ndarray:
+    """A copy of ``tensor`` after ``steps`` of (gate, wires, conj), as a flat array."""
+    buf = tensor.reshape(-1).copy()
+    spare = np.empty_like(buf)  # pages are only touched once a gate needs them
+    for gate, wires, conj in steps:
+        buf, spare = _apply_gate(buf, spare, gate, wires, nbits, conj)
+    return buf
 
 
 def apply(circuit: Circuit, state: StateVector) -> StateVector:
@@ -127,10 +195,8 @@ def apply(circuit: Circuit, state: StateVector) -> StateVector:
             f"state has {state.num_qubits} qubits, circuit has {circuit.num_qubits}"
         )
     capacity.check("statevector", circuit.num_qubits)
-    amps = state.amplitudes
-    for instr in circuit.instructions:
-        amps = _kernel(amps, instr.gate, instr.wires, circuit.num_qubits)
-    return StateVector(amps)
+    steps = [(instr.gate, instr.wires, False) for instr in circuit.instructions]
+    return adopt_state(_run(state.amplitudes, steps, circuit.num_qubits))
 
 
 def apply_density(circuit: Circuit, rho: DensityMatrix) -> DensityMatrix:
@@ -141,18 +207,21 @@ def apply_density(circuit: Circuit, rho: DensityMatrix) -> DensityMatrix:
         )
     capacity.check("density", circuit.num_qubits)
     n = circuit.num_qubits
-    mat = rho.matrix
+    # rho[r, c] is entry r * 2**n + c of a 2n-qubit tensor: row bits are
+    # wires 0..n-1, column bits wires n..2n-1. U acts on the rows and
+    # conj(U) on the columns.
+    steps = []
     for instr in circuit.instructions:
-        half = _kernel(mat, instr.gate, instr.wires, n)  # U rho
-        mat = _kernel(half.conj().T, instr.gate, instr.wires, n)  # U (U rho)† = U rho U†
-    return DensityMatrix(mat, check_psd=False)
+        steps.append((instr.gate, instr.wires, False))
+        steps.append((instr.gate, tuple(w + n for w in instr.wires), True))
+    return adopt_density(_run(rho.matrix, steps, 2 * n).reshape(rho.matrix.shape))
 
 
 def embed(gate: Gate, wires, num_qubits: int) -> np.ndarray:
     """Full 2**n x 2**n unitary acting as ``gate`` on ``wires``, identity elsewhere.
 
     Built entry by entry from the basis-state action, deliberately
-    independent of the tensor kernel so the two can check each other.
+    independent of the gate engine so the two can check each other.
     """
     ws = tuple(int(w) for w in wires)
     if len(ws) != gate.arity:

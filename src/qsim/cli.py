@@ -78,8 +78,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_circuit(path: str) -> Circuit:
-    with open(path, encoding="utf-8") as handle:
-        return qcf.parse(handle.read())
+    with open(path, "rb") as handle:
+        data = handle.read()
+    return qcf.parse(qcf.decode(data))
 
 
 def _format_density(circuit: Circuit, fmt: str) -> str:

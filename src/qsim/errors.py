@@ -12,6 +12,7 @@ __all__ = [
     "CapacityError",
     "NotSquareError",
     "NotHermitianError",
+    "NotUnitaryError",
     "ConvergenceError",
     "NotPowerOfTwoError",
     "NotNormalizedError",
@@ -43,6 +44,10 @@ class NotSquareError(QsimError):
 
 class NotHermitianError(QsimError):
     """A Hermitian matrix was required."""
+
+
+class NotUnitaryError(QsimError):
+    """A gate matrix is not unitary."""
 
 
 class ConvergenceError(QsimError):

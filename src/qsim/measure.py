@@ -7,9 +7,10 @@ on a bucket boundary falls into the next bucket and zero-probability
 outcomes can never be selected.
 
 Sampling reproducibility: shot i draws from a Philox counter-based stream
-keyed by (seed, i). Outcomes therefore depend only on the seed and the
-shot index, never on execution order, so a histogram is bit-identical
-whether shots run sequentially or fanned out over worker threads.
+keyed by (seed, i) as two unsigned 64-bit words. Outcomes therefore depend
+only on the seed and the shot index, never on execution order, so a
+histogram is bit-identical whether shots run sequentially or fanned out
+over worker threads.
 """
 
 import csv
@@ -145,7 +146,8 @@ def measure_qubit(state: StateVector, qubit: int, rng_draw: float) -> Measuremen
 
 
 def _shot_draw(seed: int, shot: int) -> float:
-    gen = np.random.Generator(np.random.Philox(key=(seed, shot)))
+    # An explicit uint64 key: a plain tuple turns seeds >= 2**63 into float64.
+    gen = np.random.Generator(np.random.Philox(key=np.array([seed, shot], dtype=np.uint64)))
     return float(gen.random())
 
 

@@ -8,6 +8,7 @@ Grammar (UTF-8, LF newlines; CRLF accepted on input and normalized away):
     comment     := "#" ...               -- full-line only
     instruction := GATE INT{arity}       -- one per line
     GATE        := x | y | z | s | t | h | swap | cnot   -- case-insensitive
+    INT         := [0-9]+                -- ASCII digits only
 
 cnot wires read control then target. Canonical output (``serialize``) uses
 lowercase gate labels, single spaces, one instruction per line, and a
@@ -32,6 +33,7 @@ class ParseErrorKind(enum.Enum):
     BAD_INTEGER = "BadInteger"
     MISSING_HEADER = "MissingHeader"
     TRAILING_GARBAGE = "TrailingGarbage"
+    BAD_ENCODING = "BadEncoding"
 
 
 class ParseError(QsimError):
@@ -46,7 +48,7 @@ class ParseError(QsimError):
 
 
 _TOKEN = re.compile(r"\S+")
-_INT = re.compile(r"\d+\Z")
+_INT = re.compile(r"[0-9]+\Z")  # ASCII only: \d would take any Unicode digit
 
 _ARITY = {label.lower(): gate.arity for label, gate in LIBRARY.items()}
 
@@ -62,6 +64,29 @@ def _parse_int(text: str, line_no: int, column: int, what: str) -> int:
             line_no, column, ParseErrorKind.BAD_INTEGER, f"{what} must be an unsigned integer, got {text!r}"
         )
     return int(text)
+
+
+def _universal_newlines(text: str) -> str:
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def decode(data: bytes) -> str:
+    """The text of a qcf file's bytes, as a text-mode ``open`` reads it.
+
+    Strict UTF-8 with universal newlines (a lone CR also ends a line). A
+    byte that is not UTF-8 raises a located :class:`ParseError`.
+    """
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = _universal_newlines(data[: exc.start].decode("utf-8"))
+        raise ParseError(
+            before.count("\n") + 1,
+            len(before) - before.rfind("\n"),
+            ParseErrorKind.BAD_ENCODING,
+            f"byte 0x{data[exc.start]:02x} is not valid UTF-8",
+        ) from None
+    return _universal_newlines(text)
 
 
 def parse(source: str) -> Circuit:

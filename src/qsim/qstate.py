@@ -61,10 +61,6 @@ class StateVector:
     def __repr__(self):
         return f"StateVector(num_qubits={self.num_qubits})"
 
-    def label_of(self, index: int) -> str:
-        """Bitstring label of a basis index, qubit 0 first."""
-        return format(index, f"0{self.num_qubits}b") if self.num_qubits else ""
-
 
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite matrix over 2**n basis states.
@@ -102,6 +98,32 @@ class DensityMatrix:
 
     def __repr__(self):
         return f"DensityMatrix(num_qubits={self.num_qubits})"
+
+
+def _adopt(cls, field: str, array: np.ndarray):
+    obj = object.__new__(cls)
+    array.setflags(write=False)
+    object.__setattr__(obj, field, array)
+    object.__setattr__(obj, "num_qubits", _num_qubits_for(array.shape[0]))
+    return obj
+
+
+def adopt_state(amps: np.ndarray) -> StateVector:
+    """Wrap a flat complex128 array as a state vector without validating it.
+
+    For the gate engine only: its output is a valid state moved by unitary
+    gates, so checking the norm again would cost a pass over 2**n values
+    and find roundoff. The array is taken over and made read-only.
+    """
+    return _adopt(StateVector, "amplitudes", amps)
+
+
+def adopt_density(matrix: np.ndarray) -> DensityMatrix:
+    """Wrap a square complex128 array as a density matrix without validating it.
+
+    The density counterpart of :func:`adopt_state`, for unitary conjugation.
+    """
+    return _adopt(DensityMatrix, "matrix", matrix)
 
 
 # A mixed ensemble is just a sequence of (probability, state) pairs.

@@ -116,32 +116,37 @@ class TestIterationGeometry:
     def test_unmarked_amplitudes_stay_equal(self):
         """The walk never leaves the span of the uniform and marked vectors."""
         n, marked = 3, 5
-        spec = GroverSpec(n, marked, 2 * grover_optimal_iterations(n))
-        # Re-run the loop step by step through the public pieces.
-        from qsim.algorithms import _diffusion, _hadamard_layer, _oracle
+        # Re-run the loop step by step.
+        from qsim.algorithms import _iterate
 
-        h_layer = _hadamard_layer(n)
-        state = apply(h_layer, zero_state(n))
-        for _ in range(spec.iterations):
-            state = _diffusion(_oracle(state, marked), h_layer)
-            unmarked = np.delete(state.amplitudes, marked)
+        amps = np.full(1 << n, 2.0 ** (-n / 2), dtype=complex)
+        for _ in range(2 * grover_optimal_iterations(n)):
+            _iterate(amps, marked)
+            unmarked = np.delete(amps, marked)
             assert np.max(np.abs(unmarked - unmarked[0])) <= 1e-10
 
     def test_oracle_and_diffusion_are_involutions(self):
         """Both reflections square to the identity as explicit matrices."""
         n, marked = 2, 3
         dim = 1 << n
-        from qsim.algorithms import _diffusion, _hadamard_layer, _oracle
-        from qsim.qstate import StateVector
+        from qsim.algorithms import _iterate
+        from qsim.circuit import Circuit, Instruction, unitary_of
+        from qsim.gates import H
 
-        h_layer = _hadamard_layer(n)
-        oracle_mat = np.zeros((dim, dim), dtype=complex)
-        diffusion_mat = np.zeros((dim, dim), dtype=complex)
+        iteration_mat = np.zeros((dim, dim), dtype=complex)
         for col in range(dim):
             basis = np.zeros(dim, dtype=complex)
             basis[col] = 1.0
-            oracle_mat[:, col] = _oracle(StateVector(basis), marked).amplitudes
-            diffusion_mat[:, col] = _diffusion(StateVector(basis), h_layer).amplitudes
+            _iterate(basis, marked)
+            iteration_mat[:, col] = basis
+        oracle_mat = np.eye(dim, dtype=complex)
+        oracle_mat[marked, marked] = -1.0
+        # One iteration is diffusion * oracle, and the oracle is its own inverse.
+        diffusion_mat = iteration_mat @ oracle_mat
+        h_layer = unitary_of(Circuit(n, [Instruction(H, (w,)) for w in range(n)]))
+        reflect_zero = -np.eye(dim)
+        reflect_zero[0, 0] = 1.0
+        np.testing.assert_allclose(diffusion_mat, h_layer @ reflect_zero @ h_layer, atol=1e-12)
         np.testing.assert_allclose(oracle_mat @ oracle_mat, np.eye(dim), atol=1e-10)
         np.testing.assert_allclose(diffusion_mat @ diffusion_mat, np.eye(dim), atol=1e-10)
         assert np.max(np.abs(oracle_mat.conj().T @ oracle_mat - np.eye(dim))) <= 1e-10

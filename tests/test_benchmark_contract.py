@@ -1,0 +1,55 @@
+"""The names the benchmark's traced run wraps, and the program under its wrappers.
+
+``perfbench/run.py --trace 1`` replaces each name in ``perfbench/spans.TARGETS``
+with a plain wrapper function. These tests read that list without changing
+anything under ``perfbench/``.
+"""
+
+import importlib
+import importlib.util
+import pathlib
+
+import numpy as np
+
+from qsim import circuit, cli, measure, qstate
+
+SPANS_FILE = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_FILE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_exists():
+    for module_name, attr, _ in load_spans().TARGETS:
+        assert hasattr(importlib.import_module(f"qsim.{module_name}"), attr), f"qsim.{module_name}.{attr}"
+
+
+def test_program_runs_under_the_tracer_wrappers(monkeypatch, capsys, tmp_path):
+    path = tmp_path / "c.qcf"
+    path.write_text("qubits 3\nh 0\ncnot 0 2\nt 2\nswap 1 2\ny 1\n", encoding="utf-8")
+    c = cli._load_circuit(str(path))
+
+    def outputs():
+        state = circuit.apply(c, qstate.zero_state(3)).amplitudes
+        hist = measure.sample(c, 50, 11)
+        assert cli.main(["run", str(path), "--backend", "density", "--format", "csv"]) == 0
+        return state, hist, capsys.readouterr().out
+
+    plain = outputs()
+    spans = load_spans()
+    tracer = spans.Tracer()
+    for module_name, attr, name in spans.TARGETS:
+        module = importlib.import_module(f"qsim.{module_name}")
+        monkeypatch.setattr(module, attr, tracer.wrap(getattr(module, attr), name))
+    for wrapped in (circuit.StateVector, measure.apply, cli.apply_density, cli.to_density):
+        assert type(wrapped).__name__ == "function"
+    traced = outputs()
+    np.testing.assert_array_equal(traced[0], plain[0])
+    assert traced[1:] == plain[1:]
+    assert {"circuit.apply", "measure.state", "circuit.apply_density", "qstate.to_density"} <= {
+        span[1] for span in tracer.spans
+    }

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from qsim.errors import (
     CapacityError,
     DimensionMismatchError,
     DuplicateWireError,
+    NotUnitaryError,
     WireOutOfRangeError,
 )
 from qsim.numerics import is_unitary, kron
@@ -75,7 +78,7 @@ class TestApply:
             assert abs(np.sum(np.abs(out.amplitudes) ** 2) - 1.0) <= 1e-10
 
     def test_matches_unitary_oracle(self, rng, random_circuit, random_state):
-        """Stride kernel against the brute-force matrix product."""
+        """Gate engine against the brute-force matrix product."""
         for _ in range(100):
             c = random_circuit(rng)
             s = random_state(rng, c.num_qubits)
@@ -173,3 +176,72 @@ class TestUnitaryOf:
     def test_is_unitary(self, rng, random_circuit):
         for _ in range(25):
             assert is_unitary(unitary_of(random_circuit(rng)), 1e-10)
+
+
+def random_unitary(rng, dim):
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+class TestGateEngine:
+    """The in-place engine against the brute-force ``embed``/``unitary_of`` oracle."""
+
+    N = 5
+
+    @pytest.mark.parametrize("label", gates.GATE_LABELS)
+    def test_library_gate_on_every_wire(self, label, rng, random_state):
+        gate = gates.standard_gate(label)
+        s = random_state(rng, self.N)
+        for wires in itertools.permutations(range(self.N), gate.arity):
+            out = apply(Circuit(self.N, [Instruction(gate, wires)]), s)
+            expected = embed(gate, wires, self.N) @ s.amplitudes
+            np.testing.assert_allclose(out.amplitudes, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda rng: random_unitary(rng, 4),  # dense
+            lambda rng: np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, 4))),  # diagonal, d0 != 1
+            lambda rng: np.diag([1j, -1, 1, np.exp(0.3j)])[[2, 0, 3, 1]],  # phase-permutation
+            lambda rng: np.eye(8)[[1, 2, 0, 3, 4, 5, 7, 6]],  # a 3-cycle and a swap
+            lambda rng: random_unitary(rng, 8),  # dense, three qubits
+        ],
+    )
+    def test_user_gates(self, make, rng, random_state):
+        matrix = make(rng)
+        gate = gates.Gate("U", int(np.log2(len(matrix))), matrix)
+        n = 4
+        instrs = [Instruction(gates.H, (1,)), Instruction(gate, (3, 0, 2)[: gate.arity])]
+        instrs += [Instruction(gates.CNOT, (2, 1)), Instruction(gate, (1, 3, 0)[: gate.arity])]
+        c = Circuit(n, instrs)
+        s = random_state(rng, n)
+        u = unitary_of(c)
+        np.testing.assert_allclose(apply(c, s).amplitudes, u @ s.amplitudes, atol=1e-12)
+        rho = to_density(s)
+        expected = u @ rho.matrix @ u.conj().T
+        np.testing.assert_allclose(apply_density(c, rho).matrix, expected, atol=1e-12)
+
+    def test_gate_classes(self):
+        dense = [label for label in gates.GATE_LABELS if gates.standard_gate(label).cycles is None]
+        assert dense == ["H"]
+        assert gates.CNOT.cycles == (((2, 1), (3, 1)),)
+        assert gates.T.cycles == (((1, np.exp(1j * np.pi / 4)),),)
+        assert gates.Gate("I", 1, np.eye(2)).cycles == ()
+
+    def test_non_unitary_gate_rejected(self):
+        with pytest.raises(NotUnitaryError):
+            gates.Gate("twice", 1, 2 * np.eye(2))
+
+    def test_inputs_untouched_and_outputs_read_only(self, rng, random_state):
+        s = random_state(rng, 3)
+        before = s.amplitudes.copy()
+        c = Circuit(3, [Instruction(gates.H, (0,)), Instruction(gates.X, (2,)), Instruction(gates.T, (1,))])
+        out = apply(c, s)
+        np.testing.assert_array_equal(s.amplitudes, before)
+        assert not out.amplitudes.flags.writeable
+        rho = to_density(s)
+        rho_before = rho.matrix.copy()
+        rho_out = apply_density(c, rho)
+        np.testing.assert_array_equal(rho.matrix, rho_before)
+        assert not rho_out.matrix.flags.writeable
+        assert (out.num_qubits, rho_out.num_qubits) == (3, 3)

@@ -95,6 +95,19 @@ class TestRun:
         assert out == ""
         assert err != ""
 
+    def test_non_utf8_file_is_a_located_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "latin1.qcf"
+        path.write_bytes(b"qubits 2\nh 0\xff\n")
+        code, out, err = run_cli(capsys, "run", str(path))
+        assert code == 2
+        assert out == ""
+        assert "line 2, column 4: BadEncoding" in err
+
+    def test_lone_carriage_returns_end_lines(self, capsys, tmp_path):
+        path = tmp_path / "cr.qcf"
+        path.write_bytes(b"qubits 2\rh 0\rcnot 0 1\r")
+        assert run_cli(capsys, "validate", str(path)) == (0, "OK\n", "")
+
     def test_usage_errors(self, capsys, bell_file):
         assert run_cli(capsys, "run", bell_file, "--shots", "0")[0] == 2
         assert run_cli(capsys, "run", bell_file, "--seed", "-4")[0] == 2
@@ -107,6 +120,14 @@ class TestRun:
         assert out == ""
         monkeypatch.setenv("QSIM_MAX_QUBITS", "2")
         assert run_cli(capsys, "run", bell_file)[0] == 0
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_capacity_override_below_one(self, capsys, monkeypatch, bell_file, value):
+        monkeypatch.setenv("QSIM_MAX_QUBITS", value)
+        code, out, err = run_cli(capsys, "run", bell_file)
+        assert code == 3
+        assert out == ""
+        assert f"QSIM_MAX_QUBITS must be at least 1, got '{value}'" in err
 
 
 class TestUnitary:

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +29,30 @@ SQRT2_INV = 1.0 / np.sqrt(2.0)
 HADAMARD_STATE = from_amplitudes([SQRT2_INV, SQRT2_INV])
 BELL_STATE = apply(bell_circuit(), zero_state(2))
 X_CIRCUIT = Circuit(1, [Instruction(gates.X, (0,))])
+# Eight outcomes of unequal probability, so a changed draw shows.
+SKEWED = Circuit(
+    3,
+    [
+        Instruction(gates.H, (0,)),
+        Instruction(gates.H, (1,)),
+        Instruction(gates.T, (1,)),
+        Instruction(gates.H, (1,)),
+        Instruction(gates.CNOT, (0, 2)),
+        Instruction(gates.H, (2,)),
+    ],
+)
+
+
+def documented_histogram(circuit, shots, seed):
+    """Shot i draws from Philox keyed by (seed, i) as uint64 words; CDF inversion."""
+    cum = np.cumsum(probabilities(apply(circuit, zero_state(circuit.num_qubits))).probabilities)
+    counts = {}
+    for shot in range(shots):
+        key = np.array([seed, shot], dtype=np.uint64)
+        draw = np.random.Generator(np.random.Philox(key=key)).random()
+        label = bitstring(int(np.searchsorted(cum, draw, side="right")), circuit.num_qubits)
+        counts[label] = counts.get(label, 0) + 1
+    return counts
 
 
 class TestProbabilities:
@@ -168,6 +193,30 @@ class TestSample:
     def test_only_supported_labels(self):
         hist = sample(bell_circuit(), 2048, 9)
         assert set(hist.counts) <= {"00", "11"}
+
+    @pytest.mark.parametrize(
+        "seed, counts",
+        [
+            (7, {"000": 27, "001": 51, "010": 7, "011": 12, "100": 47, "101": 41, "110": 8, "111": 7}),
+            (2**62 + 12345, {"000": 39, "001": 42, "010": 11, "011": 11, "100": 42, "101": 45, "110": 5, "111": 5}),
+            (2**63 - 1, {"000": 41, "001": 43, "010": 9, "011": 8, "100": 41, "101": 48, "110": 3, "111": 7}),
+        ],
+    )
+    def test_golden_histograms(self, seed, counts):
+        assert sample(SKEWED, 200, seed).counts == counts
+
+    def test_seeds_above_two_to_the_63_differ(self):
+        assert sample(SKEWED, 2000, 2**63).counts != sample(SKEWED, 2000, 2**63 + 1).counts
+
+    def test_high_seed_follows_the_documented_draw(self):
+        seed = 2**63 + 2**40 + 12345
+        assert sample(SKEWED, 1000, seed).counts == documented_histogram(SKEWED, 1000, seed)
+
+    def test_largest_seed_draws_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hist = sample(SKEWED, 3, 2**64 - 1)
+        assert hist.counts == documented_histogram(SKEWED, 3, 2**64 - 1)
 
     def test_validation(self):
         with pytest.raises(ProbabilityError):

@@ -3,7 +3,7 @@ import pytest
 from qsim import gates
 from qsim.algorithms import bell_circuit
 from qsim.circuit import Circuit, Instruction
-from qsim.qcf import ParseError, ParseErrorKind, parse, serialize
+from qsim.qcf import ParseError, ParseErrorKind, decode, parse, serialize
 
 BELL_TEXT = "qubits 2\nh 0\ncnot 0 1\n"
 
@@ -92,6 +92,10 @@ class TestParseErrors:
     def test_fractional_wire(self):
         assert err("qubits 2\nh 1.5\n").kind == ParseErrorKind.BAD_INTEGER
 
+    def test_non_ascii_digit_wire(self):
+        e = err("qubits 4\nh \u0663\n")  # ARABIC-INDIC DIGIT THREE
+        assert (e.line, e.column, e.kind) == (2, 3, ParseErrorKind.BAD_INTEGER)
+
     def test_duplicate_wire(self):
         e = err("qubits 2\ncnot 0 0\n")
         assert (e.line, e.kind) == (2, ParseErrorKind.WIRE_OUT_OF_RANGE)
@@ -115,6 +119,18 @@ class TestParseErrors:
         for source in bad_sources:
             e = err(source)
             assert e.line >= 1 and e.column >= 1
+
+
+class TestDecode:
+    def test_text_mode_newlines(self):
+        assert decode(b"qubits 2\r\nh 0\rx 1\n") == "qubits 2\nh 0\nx 1\n"
+
+    def test_invalid_byte_is_located(self):
+        with pytest.raises(ParseError) as excinfo:
+            decode("qubits 2\r\n\u00e9h 0\xff\n".encode("utf-8").replace(b"\xc3\xbf", b"\xff"))
+        e = excinfo.value
+        assert (e.line, e.column, e.kind) == (2, 5, ParseErrorKind.BAD_ENCODING)
+        assert "0xff" in e.message
 
 
 class TestSerialize:
