@@ -96,7 +96,7 @@ def _format_density(circuit: Circuit, fmt: str) -> str:
         return json.dumps(payload, indent=2) + "\n"
     if fmt == "csv":
         return "".join(f"{label},{float(p)!r}\n" for label, p in zip(labels, probs))
-    return "".join(f"{label} {p:.9f}\n" for label, p in zip(labels, probs))
+    return "".join(f"{label} {_entry(float(p), 9):.9f}\n" for label, p in zip(labels, probs))
 
 
 def _format_histogram(hist: measure.ShotHistogram, fmt: str) -> str:
@@ -126,17 +126,17 @@ def _cmd_run(args, out, err) -> int:
     return EXIT_OK
 
 
-def _entry(value: float) -> float:
-    # Round to the printed precision first so values inside half an ulp of
-    # zero (including IEEE -0.0) cannot surface as "-0.000000".
-    return round(value, 6) + 0.0
+def _entry(value: float, digits: int) -> float:
+    # Round to the printed precision first so values that print as zero
+    # (including IEEE -0.0) cannot surface as "-0.000000".
+    return round(value, digits) + 0.0
 
 
 def _cmd_unitary(args, out, err) -> int:
     u = unitary_of(_load_circuit(args.file))
     for row in u:
         out.write(
-            " ".join(f"{_entry(e.real):.6f}{_entry(e.imag):+.6f}i" for e in row) + "\n"
+            " ".join(f"{_entry(e.real, 6):.6f}{_entry(e.imag, 6):+.6f}i" for e in row) + "\n"
         )
     return EXIT_OK
 

@@ -1,18 +1,18 @@
 """Bipartite entanglement diagnostics for pure states.
 
 A pure state is entangled across a bipartition exactly when its reduced
-density matrix is mixed, so everything here reduces to the partial trace:
-reduced purity classifies, and the base-2 von Neumann entropy of the
-reduction quantifies (0 for product states, min(|A|, |B|) qubits at most).
+density matrix is mixed. That reduction's spectrum is the squared Schmidt
+coefficients, the squared singular values of the amplitudes arranged as a
+2**|A| x 2**|B| matrix: reduced purity classifies, and the base-2 von
+Neumann entropy quantifies (0 for product states, min(|A|, |B|) at most).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import numerics
 from .errors import SubsystemError
-from .qstate import DensityMatrix, StateVector, purity, to_density
+from .qstate import DensityMatrix, StateVector, adopt_density
 
 ENTROPY_EIGENVALUE_CUTOFF = 1e-12
 
@@ -82,27 +82,28 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     subscripts = "".join(subscript) + "->" + "".join(out_row + out_col)
     tensor = rho.matrix.reshape((2,) * (2 * n))
     dim = 1 << len(kept)
-    reduced = np.einsum(subscripts, tensor).reshape(dim, dim)
-    return DensityMatrix(reduced, check_psd=False)
+    return adopt_density(np.einsum(subscripts, tensor).reshape(dim, dim))
+
+
+def _schmidt_weights(state: StateVector, part: Bipartition) -> np.ndarray:
+    """Squared Schmidt coefficients of ``state`` across ``part``, descending."""
+    if part.num_qubits != state.num_qubits:
+        raise SubsystemError(
+            f"bipartition covers {part.num_qubits} qubits, state has {state.num_qubits}"
+        )
+    tensor = state.amplitudes.reshape((2,) * state.num_qubits)
+    split = tensor.transpose(part.subsystem_a + part.subsystem_b)
+    matrix = split.reshape(1 << len(part.subsystem_a), -1)
+    return np.linalg.svd(matrix, compute_uv=False) ** 2
 
 
 def entanglement_entropy(state: StateVector, part: Bipartition) -> float:
     """Base-2 von Neumann entropy of the reduction onto side A."""
-    if part.num_qubits != state.num_qubits:
-        raise SubsystemError(
-            f"bipartition covers {part.num_qubits} qubits, state has {state.num_qubits}"
-        )
-    reduced = partial_trace(to_density(state), part.subsystem_a)
-    eigs = numerics.eig_hermitian(reduced.matrix).eigenvalues
-    eigs = eigs[eigs > ENTROPY_EIGENVALUE_CUTOFF]
-    return float(-np.sum(eigs * np.log2(eigs)))
+    weights = _schmidt_weights(state, part)
+    weights = weights[weights > ENTROPY_EIGENVALUE_CUTOFF]
+    return float(-np.sum(weights * np.log2(weights)))
 
 
 def is_entangled(state: StateVector, part: Bipartition, tol: float = 1e-9) -> bool:
     """True iff the reduction onto side A is mixed (purity below 1 - tol)."""
-    if part.num_qubits != state.num_qubits:
-        raise SubsystemError(
-            f"bipartition covers {part.num_qubits} qubits, state has {state.num_qubits}"
-        )
-    reduced = partial_trace(to_density(state), part.subsystem_a)
-    return purity(reduced) < 1.0 - tol
+    return float(np.sum(_schmidt_weights(state, part) ** 2)) < 1.0 - tol

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import numerics
 from .errors import DimensionMismatchError, NotHermitianError, QsimError
-from .qstate import DensityMatrix, StateVector
+from .qstate import DensityMatrix, StateVector, adopt_density
 
 HERMITIAN_TOL = 1e-10
 
@@ -63,4 +63,4 @@ def evolve_density(h: Hamiltonian, duration: float, rho: DensityMatrix) -> Densi
             f"dimension {rho.matrix.shape[0]}"
         )
     u = h.propagator(duration)
-    return DensityMatrix(u @ rho.matrix @ u.conj().T, check_psd=False)
+    return adopt_density(u @ rho.matrix @ u.conj().T)

@@ -8,16 +8,13 @@ outcomes can never be selected.
 
 Sampling reproducibility: shot i draws from a Philox counter-based stream
 keyed by (seed, i) as two unsigned 64-bit words. Outcomes therefore depend
-only on the seed and the shot index, never on execution order, so a
-histogram is bit-identical whether shots run sequentially or fanned out
-over worker threads.
+only on the seed and the shot index, never on execution order.
 """
 
 import csv
 import io
 import json
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,9 +104,8 @@ def probabilities_density(rho: DensityMatrix) -> OutcomeDistribution:
     return OutcomeDistribution(rho.num_qubits, np.real(np.diagonal(rho.matrix)))
 
 
-def _pick(probs: np.ndarray, draw: float) -> int:
-    """Least index with cumulative probability exceeding ``draw``."""
-    cum = np.cumsum(probs)
+def _pick(probs: np.ndarray, cum: np.ndarray, draw: float) -> int:
+    """Least index whose cumulative probability ``cum`` exceeds ``draw``."""
     k = int(np.searchsorted(cum, draw, side="right"))
     if k >= probs.size:  # draw beyond the last cumulative step (roundoff)
         nonzero = np.flatnonzero(probs > 0.0)
@@ -119,7 +115,8 @@ def _pick(probs: np.ndarray, draw: float) -> int:
 
 def measure_all(state: StateVector, rng_draw: float) -> MeasurementRecord:
     """Measure every qubit; the state collapses to one basis vector."""
-    k = _pick(probabilities(state).probabilities, rng_draw)
+    probs = probabilities(state).probabilities
+    k = _pick(probs, np.cumsum(probs), rng_draw)
     return MeasurementRecord(
         outcome=bitstring(k, state.num_qubits),
         post_state=basis_state(state.num_qubits, k),
@@ -151,21 +148,14 @@ def _shot_draw(seed: int, shot: int) -> float:
     return float(gen.random())
 
 
-def _count_range(probs: np.ndarray, num_qubits: int, seed: int, lo: int, hi: int) -> Counter:
-    counts: Counter = Counter()
-    for shot in range(lo, hi):
-        counts[bitstring(_pick(probs, _shot_draw(seed, shot)), num_qubits)] += 1
-    return counts
-
-
 def sample(circuit: Circuit, shots: int, seed: int, *, workers: int = 1) -> ShotHistogram:
     """Run ``shots`` end-to-end executions of the circuit from |0...0>.
 
     The circuit holds no measurement or other nondeterminism, so the final
     state is computed once and each shot draws its outcome from that
-    state's distribution using its own keyed stream. ``workers`` > 1 fans
-    the shot range out over threads; the histogram is identical for any
-    worker count.
+    state's distribution using its own keyed stream. ``workers`` is
+    accepted for compatibility; shots run in one thread, and the histogram
+    depends only on the circuit, ``shots`` and ``seed``.
     """
     if shots < 1:
         raise ProbabilityError(f"shots must be positive, got {shots}")
@@ -173,17 +163,8 @@ def sample(circuit: Circuit, shots: int, seed: int, *, workers: int = 1) -> Shot
         raise QsimError(f"seed must be an unsigned 64-bit integer, got {seed}")
     final = apply(circuit, zero_state(circuit.num_qubits))
     probs = probabilities(final).probabilities
-    n = circuit.num_qubits
-    if workers <= 1:
-        counts = _count_range(probs, n, seed, 0, shots)
-    else:
-        bounds = np.linspace(0, shots, workers + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(
-                lambda span: _count_range(probs, n, seed, span[0], span[1]),
-                zip(bounds[:-1], bounds[1:]),
-            )
-            counts = Counter()
-            for part in parts:
-                counts.update(part)
-    return ShotHistogram(counts=dict(sorted(counts.items())), shots=shots, seed=seed)
+    cum = np.cumsum(probs)
+    picks = Counter(_pick(probs, cum, _shot_draw(seed, shot)) for shot in range(shots))
+    # Fixed-width labels sort as their basis indices do.
+    counts = {bitstring(k, circuit.num_qubits): picks[k] for k in sorted(picks)}
+    return ShotHistogram(counts=counts, shots=shots, seed=seed)

@@ -5,7 +5,8 @@ treated as immutable by every routine here (inputs are never written to,
 outputs are fresh arrays). The module provides the handful of primitives
 the rest of the package is built on: products, Kronecker products,
 adjoints, unitarity/Hermiticity predicates, a cyclic-Jacobi Hermitian
-eigensolver, and the spectral matrix exponential exp(-i*H*theta).
+eigensolver (the tests' reference), and the spectral matrix exponential
+exp(-i*H*theta).
 
 Comparisons use absolute max-norm with a default tolerance of 1e-10,
 overridable per call.
@@ -182,8 +183,9 @@ def eig_hermitian(
 
 
 def matexp_skew_hermitian(h, theta: float) -> np.ndarray:
-    """Unitary exp(-i * h * theta) for Hermitian ``h`` via spectral expansion."""
-    decomp = eig_hermitian(h)
-    phases = np.exp(-1j * decomp.eigenvalues * theta)
-    v = decomp.eigenvectors
-    return (v * phases) @ v.conj().T
+    """Unitary exp(-i * h * theta) for Hermitian ``h`` via LAPACK ``eigh``."""
+    m = _square(h)
+    if not is_hermitian(m, DEFAULT_TOL):
+        raise NotHermitianError("matexp_skew_hermitian requires a Hermitian matrix")
+    values, v = np.linalg.eigh(m)
+    return (v * np.exp(-1j * values * theta)) @ v.conj().T

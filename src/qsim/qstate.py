@@ -65,15 +65,16 @@ class StateVector:
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite matrix over 2**n basis states.
 
-    ``check_psd=False`` skips the eigenvalue floor check; it is used by
-    operations (outer products, convex mixtures, unitary conjugation,
-    partial traces) that preserve positivity by construction. Hermiticity
-    and trace are always verified.
+    Construction checks all three: Hermiticity within 1e-10, trace within
+    1e-10, and a lowest eigenvalue (LAPACK ``eigvalsh``) no lower than the
+    roundoff floor -1e-9. Operations whose output is a density matrix by
+    construction (outer products, convex mixtures, unitary conjugation,
+    partial traces, dephasing) return through :func:`adopt_density` instead.
     """
 
     __slots__ = ("matrix", "num_qubits")
 
-    def __init__(self, matrix, *, check_psd: bool = True):
+    def __init__(self, matrix):
         m = numerics.as_matrix(matrix).copy()
         if m.shape[0] != m.shape[1]:
             raise DimensionMismatchError(f"density matrix must be square, got {m.shape}")
@@ -83,12 +84,11 @@ class DensityMatrix:
         trace = complex(np.trace(m))
         if abs(trace - 1.0) > TRACE_TOL:
             raise NotNormalizedError(f"density matrix trace {trace!r} is not 1 within {TRACE_TOL}")
-        if check_psd:
-            lowest = float(numerics.eig_hermitian(m).eigenvalues[0])
-            if lowest < EIGENVALUE_FLOOR:
-                raise PositivityError(
-                    f"density matrix has eigenvalue {lowest!r} below {EIGENVALUE_FLOOR}"
-                )
+        lowest = float(np.linalg.eigvalsh(m)[0])
+        if lowest < EIGENVALUE_FLOOR:
+            raise PositivityError(
+                f"density matrix has eigenvalue {lowest!r} below {EIGENVALUE_FLOOR}"
+            )
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "num_qubits", n)
@@ -121,7 +121,8 @@ def adopt_state(amps: np.ndarray) -> StateVector:
 def adopt_density(matrix: np.ndarray) -> DensityMatrix:
     """Wrap a square complex128 array as a density matrix without validating it.
 
-    The density counterpart of :func:`adopt_state`, for unitary conjugation.
+    The density counterpart of :func:`adopt_state`, for outputs that are
+    valid by construction. The array is taken over and made read-only.
     """
     return _adopt(DensityMatrix, "matrix", matrix)
 
@@ -170,7 +171,7 @@ def inner_product(a: StateVector, b: StateVector) -> complex:
 
 def to_density(s: StateVector) -> DensityMatrix:
     """Pure-state density matrix |s><s|."""
-    return DensityMatrix(np.outer(s.amplitudes, s.amplitudes.conj()), check_psd=False)
+    return adopt_density(np.outer(s.amplitudes, s.amplitudes.conj()))
 
 
 def from_ensemble(ensemble: MixedEnsemble) -> DensityMatrix:
@@ -191,7 +192,7 @@ def from_ensemble(ensemble: MixedEnsemble) -> DensityMatrix:
     acc = np.zeros((dim, dim), dtype=np.complex128)
     for p, s in entries:
         acc += p * np.outer(s.amplitudes, s.amplitudes.conj())
-    return DensityMatrix(acc, check_psd=False)
+    return adopt_density(acc)
 
 
 def purity(rho: DensityMatrix) -> float:
@@ -202,4 +203,4 @@ def purity(rho: DensityMatrix) -> float:
 
 def dephase(rho: DensityMatrix) -> DensityMatrix:
     """Zero the off-diagonal entries, keeping the diagonal (full decoherence)."""
-    return DensityMatrix(np.diag(np.diagonal(rho.matrix)), check_psd=False)
+    return adopt_density(np.diag(np.diagonal(rho.matrix)))

@@ -11,7 +11,7 @@ import pathlib
 
 import numpy as np
 
-from qsim import circuit, cli, measure, qstate
+from qsim import circuit, cli, entangle, evolve, measure, qstate
 
 SPANS_FILE = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -53,3 +53,31 @@ def test_program_runs_under_the_tracer_wrappers(monkeypatch, capsys, tmp_path):
     assert {"circuit.apply", "measure.state", "circuit.apply_density", "qstate.to_density"} <= {
         span[1] for span in tracer.spans
     }
+
+
+def test_analysis_runs_under_the_tracer_wrappers(monkeypatch, rng, random_state, random_hermitian):
+    state = random_state(rng, 6)
+    part = entangle.Bipartition.split(6, [0, 2, 5])
+    h = evolve.Hamiltonian(random_hermitian(rng, 8))
+    psi = random_state(rng, 3)
+    mixture = sum(p * qstate.to_density(random_state(rng, 3)).matrix for p in (0.5, 0.3, 0.2))
+
+    def outputs():
+        return (
+            entangle.entanglement_entropy(state, part),
+            entangle.is_entangled(state, part),
+            evolve.evolve(h, 0.7, psi).amplitudes,
+            qstate.DensityMatrix(mixture).matrix,
+        )
+
+    plain = outputs()
+    spans = load_spans()
+    tracer = spans.Tracer()
+    for module_name, attr, name in spans.TARGETS:
+        module = importlib.import_module(f"qsim.{module_name}")
+        monkeypatch.setattr(module, attr, tracer.wrap(getattr(module, attr), name))
+    traced = outputs()
+    assert traced[:2] == plain[:2]
+    np.testing.assert_array_equal(traced[2], plain[2])
+    np.testing.assert_array_equal(traced[3], plain[3])
+    assert {"entangle.entropy", "entangle.is_entangled", "evolve.evolve"} <= {span[1] for span in tracer.spans}

@@ -77,6 +77,16 @@ class TestRun:
         assert payload["num_qubits"] == 2
         assert payload["probabilities"]["00"] == pytest.approx(0.5, abs=1e-12)
 
+    def test_density_text_has_no_negative_zero(self, capsys, tmp_path):
+        # T T S = Z, so wire 1 gets H Z H = X; the engine leaves -9.8e-18
+        # on four zero-probability outcomes.
+        path = tmp_path / "roundoff.qcf"
+        path.write_text("qubits 6\nh 3\nh 1\nt 1\nh 0\nt 1\ns 1\nh 1\n")
+        code, out, _ = run_cli(capsys, "run", str(path), "--backend", "density")
+        assert code == 0
+        assert "-0.000000000" not in out
+        assert out.splitlines()[0] == "000000 0.000000000"
+
     def test_byte_identical_reruns(self, capsys, bell_file):
         first = run_cli(capsys, "run", bell_file, "--shots", "512", "--seed", "9")
         second = run_cli(capsys, "run", bell_file, "--shots", "512", "--seed", "9")

@@ -1,11 +1,15 @@
+import tracemalloc
+from functools import reduce
+
 import numpy as np
 import pytest
 
+from qsim import entangle, numerics
 from qsim.algorithms import bell_circuit
 from qsim.circuit import apply
 from qsim.entangle import Bipartition, entanglement_entropy, is_entangled, partial_trace
 from qsim.errors import SubsystemError
-from qsim.qstate import basis_state, from_amplitudes, normalize, to_density, zero_state
+from qsim.qstate import basis_state, from_amplitudes, normalize, purity, to_density, zero_state
 
 SQRT2_INV = 1.0 / np.sqrt(2.0)
 BELL = apply(bell_circuit(), zero_state(2))
@@ -121,3 +125,44 @@ class TestIsEntangled:
     def test_prepared_circuit_output(self):
         out = apply(bell_circuit(), zero_state(2))
         assert is_entangled(out, SPLIT_2Q, 1e-9)
+
+
+def every_bipartition(n):
+    for mask in range(1, (1 << n) - 1):
+        yield Bipartition.split(n, [q for q in range(n) if mask >> q & 1])
+
+
+def density_oracle(state, part):
+    """Entropy and purity of the reduction, from the density matrix and Jacobi."""
+    reduced = partial_trace(to_density(state), part.subsystem_a)
+    eigs = numerics.eig_hermitian(reduced.matrix).eigenvalues
+    eigs = eigs[eigs > entangle.ENTROPY_EIGENVALUE_CUTOFF]
+    return float(-np.sum(eigs * np.log2(eigs))), purity(reduced)
+
+
+class TestSchmidtSpectrum:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_matches_density_oracle_on_every_bipartition(self, n, rng, random_state):
+        factors = [random_state(rng, 1).amplitudes for _ in range(n)]
+        product = normalize(reduce(np.kron, factors))
+        for state in (random_state(rng, n), product):
+            for part in every_bipartition(n):
+                entropy, reduced_purity = density_oracle(state, part)
+                weights = entangle._schmidt_weights(state, part)
+                assert entanglement_entropy(state, part) == pytest.approx(entropy, abs=1e-9)
+                assert float(np.sum(weights**2)) == pytest.approx(reduced_purity, abs=1e-9)
+                assert is_entangled(state, part) == (reduced_purity < 1.0 - 1e-9)
+                assert is_entangled(state, part) == (state is not product)
+
+    @pytest.mark.parametrize("fn", [entanglement_entropy, is_entangled])
+    def test_no_density_matrix_is_built(self, fn, rng, random_state):
+        # A 10-qubit density matrix would take 16 MiB.
+        state = random_state(rng, 10)
+        part = Bipartition.split(10, [0, 3, 4, 8, 9])
+        tracemalloc.start()
+        try:
+            fn(state, part)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20

@@ -205,3 +205,11 @@ class TestMatexp:
     def test_requires_hermitian(self):
         with pytest.raises(NotHermitianError):
             matexp_skew_hermitian(S, 1.0)
+
+    def test_matches_jacobi_propagator(self, rng, random_hermitian):
+        for dim in range(1, 17):
+            h = random_hermitian(rng, dim)
+            theta = float(rng.standard_normal())
+            d = eig_hermitian(h)
+            expected = (d.eigenvectors * np.exp(-1j * d.eigenvalues * theta)) @ d.eigenvectors.conj().T
+            np.testing.assert_allclose(matexp_skew_hermitian(h, theta), expected, rtol=0, atol=1e-10)

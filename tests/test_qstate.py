@@ -203,6 +203,11 @@ class TestDensityMatrixValidation:
         with pytest.raises(PositivityError):
             DensityMatrix(np.diag([1.5, -0.5]))
 
+    def test_psd_floor_is_minus_1e_9(self):
+        assert DensityMatrix(np.diag([1.0 + 5e-10, -5e-10])).num_qubits == 1
+        with pytest.raises(PositivityError):
+            DensityMatrix(np.diag([1.0 + 2e-9, -2e-9]))
+
     def test_accepts_valid_mixed_state(self):
         rho = DensityMatrix([[0.6, 0.2], [0.2, 0.4]])
         assert rho.num_qubits == 1
