@@ -7,8 +7,9 @@ Subcommands:
     validate FILE   check that a file parses
 
 Data goes to stdout, diagnostics to stderr. Exit codes: 0 success,
-2 parse/usage error, 3 capacity/runtime error. Identical invocations
-(same flags, same seed) produce byte-identical stdout.
+2 parse/usage error, 3 capacity/runtime error, running out of memory
+included. Identical invocations (same flags, same seed) produce
+byte-identical stdout.
 """
 
 import argparse
@@ -186,6 +187,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except CapacityError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return EXIT_CAPACITY
+    except MemoryError:
+        sys.stderr.write("error: out of memory\n")
         return EXIT_CAPACITY
     except QsimError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -6,26 +6,37 @@ probability strictly exceeds the uniform draw, so a draw landing exactly
 on a bucket boundary falls into the next bucket and zero-probability
 outcomes can never be selected.
 
-Sampling reproducibility: shot i draws from a Philox counter-based stream
-keyed by (seed, i) as two unsigned 64-bit words. Outcomes therefore depend
-only on the seed and the shot index, never on execution order.
+Sampling reproducibility: shot i's draw is the first double of a Philox
+counter-based stream keyed by (seed, i) as two unsigned 64-bit words, so
+outcomes depend only on the seed and the shot index, never on execution
+order. Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as
+1, 2, 3", SC'11) is a pure function of counter and key, so :func:`sample`
+computes it in numpy for a chunk of shots at a time, bit-identical to
+``np.random.Generator(np.random.Philox(key=[seed, i])).random()``.
 """
 
 import csv
 import io
 import json
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .circuit import Circuit, apply
 from .errors import ProbabilityError, QsimError, WireOutOfRangeError
-from .qstate import DensityMatrix, StateVector, basis_state, zero_state
+from .qstate import DensityMatrix, StateVector, _adopt, basis_state, zero_state
 
 PROB_TOL = 1e-12
 SUM_TOL = 1e-10
 MAX_SEED = (1 << 64) - 1
+SHOT_CHUNK = 1 << 16  # shots per vectorized draw; bounds its memory at a few MiB
+
+# Philox4x64 round multipliers and Weyl key increments, as in numpy's Philox.
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+_MASK32 = (1 << 32) - 1
+_MASK64 = (1 << 64) - 1
 
 
 def bitstring(index: int, num_qubits: int) -> str:
@@ -35,7 +46,13 @@ def bitstring(index: int, num_qubits: int) -> str:
 
 @dataclass(frozen=True)
 class OutcomeDistribution:
-    """Exact outcome probabilities over all 2**n basis states."""
+    """Exact outcome probabilities over all 2**n basis states.
+
+    Construction checks the count, the [0, 1] range and the unit sum.
+    :func:`probabilities` and :func:`probabilities_density` derive theirs
+    from states that passed the state checks, so they skip these (a pass
+    over 2**n values that would find only roundoff).
+    """
 
     num_qubits: int
     probabilities: np.ndarray
@@ -96,27 +113,28 @@ class ShotHistogram:
 
 def probabilities(state: StateVector) -> OutcomeDistribution:
     """Squared amplitude magnitudes of a state vector."""
-    return OutcomeDistribution(state.num_qubits, np.abs(state.amplitudes) ** 2)
+    return _adopt(OutcomeDistribution, "probabilities", np.abs(state.amplitudes) ** 2)
 
 
 def probabilities_density(rho: DensityMatrix) -> OutcomeDistribution:
     """Real diagonal of a density matrix."""
-    return OutcomeDistribution(rho.num_qubits, np.real(np.diagonal(rho.matrix)))
+    return _adopt(OutcomeDistribution, "probabilities", np.real(np.diagonal(rho.matrix)))
 
 
-def _pick(probs: np.ndarray, cum: np.ndarray, draw: float) -> int:
-    """Least index whose cumulative probability ``cum`` exceeds ``draw``."""
-    k = int(np.searchsorted(cum, draw, side="right"))
-    if k >= probs.size:  # draw beyond the last cumulative step (roundoff)
+def _pick(probs: np.ndarray, cum: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Least index whose cumulative probability ``cum`` exceeds each draw."""
+    picks = np.searchsorted(cum, draws, side="right")
+    beyond = picks >= probs.size  # draw beyond the last cumulative step (roundoff)
+    if beyond.any():
         nonzero = np.flatnonzero(probs > 0.0)
-        k = int(nonzero[-1]) if nonzero.size else probs.size - 1
-    return k
+        picks[beyond] = nonzero[-1] if nonzero.size else probs.size - 1
+    return picks
 
 
 def measure_all(state: StateVector, rng_draw: float) -> MeasurementRecord:
     """Measure every qubit; the state collapses to one basis vector."""
     probs = probabilities(state).probabilities
-    k = _pick(probs, np.cumsum(probs), rng_draw)
+    k = int(_pick(probs, np.cumsum(probs), np.array([rng_draw]))[0])
     return MeasurementRecord(
         outcome=bitstring(k, state.num_qubits),
         post_state=basis_state(state.num_qubits, k),
@@ -142,10 +160,36 @@ def measure_qubit(state: StateVector, qubit: int, rng_draw: float) -> Measuremen
     return MeasurementRecord(outcome=str(bit), post_state=StateVector(projected / norm))
 
 
-def _shot_draw(seed: int, shot: int) -> float:
-    # An explicit uint64 key: a plain tuple turns seeds >= 2**63 into float64.
-    gen = np.random.Generator(np.random.Philox(key=np.array([seed, shot], dtype=np.uint64)))
-    return float(gen.random())
+def _mulhilo(m: int, x):
+    """High and low 64-bit words of the 128-bit product ``m * x``.
+
+    ``x`` is a Python int below 2**64 or a uint64 array. The high word is
+    summed from products of 32-bit halves, none of which overflows.
+    """
+    m_hi, m_lo = m >> 32, m & _MASK32
+    x_hi, x_lo = x >> 32, x & _MASK32
+    lolo, lohi, hilo = x_lo * m_lo, x_lo * m_hi, x_hi * m_lo
+    carry = ((lolo >> 32) + (lohi & _MASK32) + (hilo & _MASK32)) >> 32
+    hi = x_hi * m_hi + (lohi >> 32) + (hilo >> 32) + carry
+    return hi, (x * m) & _MASK64
+
+
+def _philox_draws(seed: int, shots: np.ndarray) -> np.ndarray:
+    """The uniform draw in [0, 1) of each uint64 shot index in ``shots``.
+
+    Philox4x64-10 on key (seed, shot): numpy's Philox steps its zero counter
+    to (1, 0, 0, 0) before the first block, and ``Generator.random()`` keeps
+    the top 53 bits of the block's first word. The counter words start as
+    Python ints and become arrays once the shot key reaches them.
+    """
+    c0, c1, c2, c3 = 1, 0, 0, 0
+    for r in range(_PHILOX_ROUNDS):
+        k0 = (seed + r * _PHILOX_W[0]) & _MASK64
+        k1 = shots + ((r * _PHILOX_W[1]) & _MASK64)
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    return (c0 >> 11) * 2.0**-53
 
 
 def sample(circuit: Circuit, shots: int, seed: int, *, workers: int = 1) -> ShotHistogram:
@@ -153,18 +197,23 @@ def sample(circuit: Circuit, shots: int, seed: int, *, workers: int = 1) -> Shot
 
     The circuit holds no measurement or other nondeterminism, so the final
     state is computed once and each shot draws its outcome from that
-    state's distribution using its own keyed stream. ``workers`` is
-    accepted for compatibility; shots run in one thread, and the histogram
-    depends only on the circuit, ``shots`` and ``seed``.
+    state's distribution by CDF inversion. Shot i's draw is Philox4x64-10
+    keyed by (seed, i), computed in numpy for ``SHOT_CHUNK`` shots at a
+    time, so memory does not grow with ``shots``; it is bit-identical to
+    the first double of ``np.random.Philox`` with that key. ``workers`` is
+    accepted for compatibility and ignored: the histogram depends only on
+    the circuit, ``shots`` and ``seed``.
     """
     if shots < 1:
         raise ProbabilityError(f"shots must be positive, got {shots}")
     if not 0 <= seed <= MAX_SEED:
         raise QsimError(f"seed must be an unsigned 64-bit integer, got {seed}")
-    final = apply(circuit, zero_state(circuit.num_qubits))
-    probs = probabilities(final).probabilities
+    probs = probabilities(apply(circuit, zero_state(circuit.num_qubits))).probabilities
     cum = np.cumsum(probs)
-    picks = Counter(_pick(probs, cum, _shot_draw(seed, shot)) for shot in range(shots))
-    # Fixed-width labels sort as their basis indices do.
-    counts = {bitstring(k, circuit.num_qubits): picks[k] for k in sorted(picks)}
+    # add.at costs O(chunk); a bincount would clear and add 2**n counts per chunk.
+    tally = np.zeros(probs.size, dtype=np.int64)
+    for start in range(0, shots, SHOT_CHUNK):
+        indices = np.arange(start, min(start + SHOT_CHUNK, shots), dtype=np.uint64)
+        np.add.at(tally, _pick(probs, cum, _philox_draws(seed, indices)), 1)
+    counts = {bitstring(int(k), circuit.num_qubits): int(tally[k]) for k in np.flatnonzero(tally)}
     return ShotHistogram(counts=counts, shots=shots, seed=seed)

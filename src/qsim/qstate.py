@@ -101,6 +101,10 @@ class DensityMatrix:
 
 
 def _adopt(cls, field: str, array: np.ndarray):
+    """An unvalidated ``cls`` whose ``field`` is ``array``, 2**n long on axis 0.
+
+    Also used by ``measure`` for distributions derived from valid states.
+    """
     obj = object.__new__(cls)
     array.setflags(write=False)
     object.__setattr__(obj, field, array)

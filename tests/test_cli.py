@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from qsim import measure
 from qsim.cli import main
 
 BELL_TEXT = "qubits 2\nh 0\ncnot 0 1\n"
@@ -138,6 +139,16 @@ class TestRun:
         assert code == 3
         assert out == ""
         assert f"QSIM_MAX_QUBITS must be at least 1, got '{value}'" in err
+
+    def test_out_of_memory_is_exit_3_without_traceback(self, capsys, monkeypatch, bell_file):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(measure, "sample", exhausted)
+        code, out, err = run_cli(capsys, "run", bell_file)
+        assert code == 3
+        assert out == ""
+        assert err == "error: out of memory\n"
 
 
 class TestUnitary:

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,8 +10,11 @@ from qsim.algorithms import bell_circuit
 from qsim.circuit import Circuit, Instruction, apply
 from qsim.errors import ProbabilityError, QsimError, WireOutOfRangeError
 from qsim.measure import (
+    SHOT_CHUNK,
     OutcomeDistribution,
     ShotHistogram,
+    _philox_draws,
+    _pick,
     bitstring,
     measure_all,
     measure_qubit,
@@ -19,6 +23,7 @@ from qsim.measure import (
     sample,
 )
 from qsim.qstate import (
+    DensityMatrix,
     basis_state,
     from_amplitudes,
     to_density,
@@ -43,16 +48,24 @@ SKEWED = Circuit(
 )
 
 
+def generator_draw(seed, shot):
+    """The documented draw of one shot: a fresh Philox Generator's first double."""
+    key = np.array([seed, shot], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key)).random()
+
+
 def documented_histogram(circuit, shots, seed):
     """Shot i draws from Philox keyed by (seed, i) as uint64 words; CDF inversion."""
     cum = np.cumsum(probabilities(apply(circuit, zero_state(circuit.num_qubits))).probabilities)
     counts = {}
     for shot in range(shots):
-        key = np.array([seed, shot], dtype=np.uint64)
-        draw = np.random.Generator(np.random.Philox(key=key)).random()
+        draw = generator_draw(seed, shot)
         label = bitstring(int(np.searchsorted(cum, draw, side="right")), circuit.num_qubits)
         counts[label] = counts.get(label, 0) + 1
     return counts
+
+
+PHILOX_SEEDS = (0, 7, 2**62 + 12345, 2**63 - 1, 2**63, 2**63 + 2**40 + 12345, 2**64 - 1)
 
 
 class TestProbabilities:
@@ -96,6 +109,29 @@ class TestProbabilities:
             out = apply(c, random_state(rng, c.num_qubits))
             assert probabilities(out).probabilities.sum() == pytest.approx(1.0, abs=1e-10)
 
+    def test_derived_distributions_are_not_revalidated(self, monkeypatch):
+        def checked(self):
+            raise AssertionError("derived distribution re-validated")
+
+        monkeypatch.setattr(OutcomeDistribution, "__post_init__", checked)
+        for dist in (
+            probabilities(HADAMARD_STATE),
+            probabilities_density(to_density(HADAMARD_STATE)),
+        ):
+            assert isinstance(dist, OutcomeDistribution)
+            assert dist.num_qubits == 1
+            np.testing.assert_allclose(dist.probabilities, [0.5, 0.5], atol=1e-12)
+            assert not dist.probabilities.flags.writeable
+
+    def test_density_roundoff_passes_through_but_public_constructor_checks(self):
+        # A diagonal entry of -5e-10 is within the density matrix's PSD floor
+        # (-1e-9) but outside the distribution's own range check (-1e-12).
+        rho = DensityMatrix(np.diag([1.0 + 5e-10, -5e-10]))
+        probs = probabilities_density(rho).probabilities
+        np.testing.assert_array_equal(probs, [1.0 + 5e-10, -5e-10])
+        with pytest.raises(ProbabilityError):
+            OutcomeDistribution(1, probs)
+
     def test_distribution_validation(self):
         with pytest.raises(ProbabilityError):
             OutcomeDistribution(1, [0.7, 0.7])
@@ -129,6 +165,50 @@ class TestMeasureAll:
         state = from_amplitudes([SQRT2_INV, 0.0, 0.0, SQRT2_INV])
         for _ in range(200):
             assert measure_all(state, float(rng.random())).outcome in {"00", "11"}
+
+
+class TestPick:
+    def test_vector_of_draws(self):
+        probs = np.array([0.25, 0.0, 0.5, 0.25])
+        picks = _pick(probs, np.cumsum(probs), np.array([0.0, 0.25, 0.5, 0.75, 0.9999]))
+        np.testing.assert_array_equal(picks, [0, 2, 2, 3, 3])
+
+    def test_draw_beyond_last_step_falls_back_to_last_nonzero_outcome(self):
+        probs = np.array([0.3, 0.0, 0.6, 0.0])  # the last step is 0.9 after roundoff
+        picks = _pick(probs, np.cumsum(probs), np.array([0.95, 0.1, 0.99]))
+        np.testing.assert_array_equal(picks, [2, 0, 2])
+
+
+class TestPhiloxDraws:
+    @pytest.mark.parametrize("seed", PHILOX_SEEDS)
+    def test_matches_numpy_philox(self, seed):
+        shots = np.concatenate(
+            [
+                np.arange(300, dtype=np.uint64),
+                np.arange(SHOT_CHUNK - 150, SHOT_CHUNK + 150, dtype=np.uint64),
+                np.arange(2**64 - 10, 2**64, dtype=np.uint64),
+            ]
+        )
+        expected = [generator_draw(seed, int(shot)) for shot in shots]
+        np.testing.assert_array_equal(_philox_draws(seed, shots), expected)
+
+    def test_chunked_sample_equals_one_pass(self):
+        shots, seed = 2 * SHOT_CHUNK + 7, 2**63 + 1
+        probs = probabilities(apply(SKEWED, zero_state(3))).probabilities
+        picks = _pick(probs, np.cumsum(probs), _philox_draws(seed, np.arange(shots, dtype=np.uint64)))
+        tally = np.bincount(picks, minlength=8)
+        expected = {bitstring(k, 3): int(tally[k]) for k in range(8) if tally[k]}
+        assert sample(SKEWED, shots, seed).counts == expected
+
+    def test_memory_bounded_by_chunk_not_shots(self):
+        sample(SKEWED, 10, 0)  # warm up imports and caches
+        tracemalloc.start()
+        try:
+            sample(SKEWED, 200_000, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestMeasureQubit:
