@@ -3,21 +3,20 @@
 A circuit is a qubit count plus an ordered list of instructions, each a
 gate bound to distinct wires (for CNOT, wires[0] is the control).
 
-One gate engine executes both representations. :func:`apply` copies the
-input amplitudes once and runs every gate in that buffer, touching only
-the blocks a gate changes: O(2**n) per gate, no 2**n x 2**n matrix. A
+One gate engine computes U @ M in a copy of M, touching only the blocks a
+gate changes: O(size of M) per gate, no 2**n x 2**n gate matrix. A
 monomial gate (diagonal, permutation, phase-permutation) multiplies the
 blocks whose phase is not 1 in place and moves the blocks of its cycles
 through one spare buffer; a dense gate (H, user gates) writes into the
-spare buffer, which then becomes the state. :func:`apply_density` runs
-rho -> U rho U† through the same engine, treating rho as a flat tensor
-of 2n qubits: U on the row wires w, conj(U) on the column wires w + n.
-The outputs come from valid inputs by unitary steps and are not
-validated again.
+spare buffer, which then becomes the state. :func:`apply` runs it on a
+state vector, :func:`unitary` on the identity, and :func:`apply_density`
+twice: U rho U† = (U (U rho)†)†, with a conjugate transpose into the
+spare buffer after each pass, exact for any rho. Outputs come from valid
+inputs by unitary steps and are not validated again.
 
 :func:`embed` and :func:`unitary_of` build full matrices explicitly and
-exist as the brute-force oracle the engine is tested against; they stay
-off the execution path.
+exist as the brute-force oracle the engine is tested against; no library
+or command-line path calls them.
 """
 
 import numpy as np
@@ -103,10 +102,10 @@ class Circuit:
         return f"Circuit(num_qubits={self.num_qubits}, instructions={len(self.instructions)})"
 
 
-def _blocks(buf: np.ndarray, wires, nbits: int) -> list:
+def _blocks(buf: np.ndarray, wires) -> list:
     """Views of ``buf`` for each value of the bits on ``wires``.
 
-    ``buf`` is a flat tensor of ``nbits`` qubits, qubit 0 the most
+    ``buf`` is a C-ordered tensor of log2(buf.size) qubits, qubit 0 the most
     significant bit. View k holds the entries whose ``wires`` bits read k,
     the first wire being the most significant bit of k, so view k lines up
     with row and column k of the gate matrix.
@@ -115,7 +114,7 @@ def _blocks(buf: np.ndarray, wires, nbits: int) -> list:
     for w in sorted(wires):
         shape += [1 << (w - prev), 2]
         prev = w + 1
-    shape.append(1 << (nbits - prev))
+    shape.append(buf.size >> prev)
     tensor = buf.reshape(shape)
     axis = {w: 2 * k + 1 for k, w in enumerate(sorted(wires))}
     m = len(wires)
@@ -135,10 +134,10 @@ def _move(dst: np.ndarray, src: np.ndarray, phase: complex) -> None:
         np.multiply(phase, src, out=dst)
 
 
-def _apply_gate(buf, spare, gate: Gate, wires, nbits: int, conj: bool):
-    """Apply ``gate`` (its complex conjugate if ``conj``) to ``wires`` of ``buf``.
+def _apply_gate(buf, spare, gate: Gate, wires):
+    """Apply ``gate`` to ``wires`` of ``buf``.
 
-    ``buf`` and ``spare`` are flat arrays of 2**nbits entries; returns them
+    ``buf`` and ``spare`` are C-ordered arrays of the same size; returns them
     as (state, spare) after the gate. A monomial gate works in place:
     re-phased blocks are multiplied where they lie and each cycle moves its
     blocks along, ``spare`` holding the first one. A dense gate writes its
@@ -149,21 +148,20 @@ def _apply_gate(buf, spare, gate: Gate, wires, nbits: int, conj: bool):
     scalar*array and array*scalar differently, and this order keeps
     1-qubit results bit-identical to the plain ``g[0,0]*b0 + g[0,1]*b1``.
     """
-    blocks = _blocks(buf, wires, nbits)
+    blocks = _blocks(buf, wires)
     if gate.cycles is not None:
         for cycle in gate.cycles:
             rows = [blocks[r] for r, _ in cycle]
-            phases = [p.conjugate() if conj else p for _, p in cycle]
             held = rows[0]
             if len(rows) > 1:
-                held = spare[: held.size].reshape(held.shape)
+                held = spare.reshape(-1)[: held.size].reshape(held.shape)
                 np.copyto(held, rows[0])
-            for dst, src, phase in zip(rows, rows[1:], phases):
+            for dst, src, (_, phase) in zip(rows, rows[1:], cycle):
                 _move(dst, src, phase)
-            _move(rows[-1], held, phases[-1])
+            _move(rows[-1], held, cycle[-1][1])
         return buf, spare
-    g = gate.matrix.conj() if conj else gate.matrix
-    out = _blocks(spare, wires, nbits)
+    g = gate.matrix
+    out = _blocks(spare, wires)
     last = len(out) - 1
     # The last output block is scratch until its own row, which then
     # scales the input blocks in place: no later row reads them.
@@ -179,13 +177,11 @@ def _apply_gate(buf, spare, gate: Gate, wires, nbits: int, conj: bool):
     return spare, buf
 
 
-def _run(tensor: np.ndarray, steps, nbits: int) -> np.ndarray:
-    """A copy of ``tensor`` after ``steps`` of (gate, wires, conj), as a flat array."""
-    buf = tensor.reshape(-1).copy()
-    spare = np.empty_like(buf)  # pages are only touched once a gate needs them
-    for gate, wires, conj in steps:
-        buf, spare = _apply_gate(buf, spare, gate, wires, nbits, conj)
-    return buf
+def _rows(circuit: Circuit, buf, spare):
+    """(U @ buf, spare): the circuit on the row bits of ``buf``, as in :func:`_apply_gate`."""
+    for instr in circuit.instructions:
+        buf, spare = _apply_gate(buf, spare, instr.gate, instr.wires)
+    return buf, spare
 
 
 def apply(circuit: Circuit, state: StateVector) -> StateVector:
@@ -195,8 +191,8 @@ def apply(circuit: Circuit, state: StateVector) -> StateVector:
             f"state has {state.num_qubits} qubits, circuit has {circuit.num_qubits}"
         )
     capacity.check("statevector", circuit.num_qubits)
-    steps = [(instr.gate, instr.wires, False) for instr in circuit.instructions]
-    return adopt_state(_run(state.amplitudes, steps, circuit.num_qubits))
+    buf = state.amplitudes.copy()
+    return adopt_state(_rows(circuit, buf, np.empty_like(buf))[0])
 
 
 def apply_density(circuit: Circuit, rho: DensityMatrix) -> DensityMatrix:
@@ -206,15 +202,20 @@ def apply_density(circuit: Circuit, rho: DensityMatrix) -> DensityMatrix:
             f"density matrix has {rho.num_qubits} qubits, circuit has {circuit.num_qubits}"
         )
     capacity.check("density", circuit.num_qubits)
-    n = circuit.num_qubits
-    # rho[r, c] is entry r * 2**n + c of a 2n-qubit tensor: row bits are
-    # wires 0..n-1, column bits wires n..2n-1. U acts on the rows and
-    # conj(U) on the columns.
-    steps = []
-    for instr in circuit.instructions:
-        steps.append((instr.gate, instr.wires, False))
-        steps.append((instr.gate, tuple(w + n for w in instr.wires), True))
-    return adopt_density(_run(rho.matrix, steps, 2 * n).reshape(rho.matrix.shape))
+    buf, spare = rho.matrix.copy(), np.empty_like(rho.matrix)
+    # U rho U† = (U (U rho)†)† for any rho, Hermitian or not.
+    for _ in range(2):
+        buf, spare = _rows(circuit, buf, spare)
+        np.conjugate(buf.T, out=spare)
+        buf, spare = spare, buf
+    return adopt_density(buf)
+
+
+def unitary(circuit: Circuit) -> np.ndarray:
+    """The circuit's 2**n x 2**n unitary, as the engine's U @ I."""
+    capacity.check("unitary", circuit.num_qubits)
+    eye = np.eye(1 << circuit.num_qubits, dtype=np.complex128)
+    return _rows(circuit, eye, np.empty_like(eye))[0]
 
 
 def embed(gate: Gate, wires, num_qubits: int) -> np.ndarray:

@@ -23,8 +23,8 @@ from .algorithms import (
     grover_run,
     grover_success_closed_form,
 )
-from .circuit import Circuit, apply_density, unitary_of
-from .errors import CapacityError, QsimError
+from .circuit import Circuit, apply_density, unitary
+from .errors import QsimError
 from .qcf import ParseError
 from .qstate import to_density, zero_state
 
@@ -59,9 +59,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.set_defaults(func=_cmd_run)
 
-    unitary = sub.add_parser("unitary", help="print the circuit unitary")
-    unitary.add_argument("file", help="path to a .qcf circuit")
-    unitary.set_defaults(func=_cmd_unitary)
+    unitary_cmd = sub.add_parser("unitary", help="print the circuit unitary")
+    unitary_cmd.add_argument("file", help="path to a .qcf circuit")
+    unitary_cmd.set_defaults(func=_cmd_unitary)
 
     grover = sub.add_parser("grover", help="run the search demonstrator")
     grover.add_argument("qubits", type=int, help="number of qubits")
@@ -134,8 +134,7 @@ def _entry(value: float, digits: int) -> float:
 
 
 def _cmd_unitary(args, out, err) -> int:
-    u = unitary_of(_load_circuit(args.file))
-    for row in u:
+    for row in unitary(_load_circuit(args.file)):
         out.write(
             " ".join(f"{_entry(e.real, 6):.6f}{_entry(e.imag, 6):+.6f}i" for e in row) + "\n"
         )
@@ -171,10 +170,12 @@ def _cmd_validate(args, out, err) -> int:
     return EXIT_OK
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
@@ -185,9 +186,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    except CapacityError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_CAPACITY
     except MemoryError:
         sys.stderr.write("error: out of memory\n")
         return EXIT_CAPACITY

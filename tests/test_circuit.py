@@ -1,10 +1,11 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qsim import gates
-from qsim.circuit import Circuit, Instruction, apply, apply_density, embed, unitary_of
+from qsim.circuit import Circuit, Instruction, apply, apply_density, embed, unitary, unitary_of
 from qsim.errors import (
     ArityError,
     CapacityError,
@@ -14,7 +15,7 @@ from qsim.errors import (
     WireOutOfRangeError,
 )
 from qsim.numerics import is_unitary, kron
-from qsim.qstate import basis_state, inner_product, to_density, zero_state
+from qsim.qstate import DensityMatrix, basis_state, inner_product, to_density, zero_state
 
 SQRT2_INV = 1.0 / np.sqrt(2.0)
 BELL = Circuit(2, [Instruction(gates.H, (0,)), Instruction(gates.CNOT, (0, 1))])
@@ -122,6 +123,35 @@ class TestApplyDensity:
         with pytest.raises(DimensionMismatchError):
             apply_density(BELL, to_density(zero_state(1)))
 
+    def test_exact_for_rho_hermitian_only_to_roundoff(self, rng, random_circuit, random_state):
+        # rho - rho† is about 1e-11, inside the 1e-10 validation tolerance. A
+        # pass that treated rho as Hermitian would return U rho† U† instead.
+        for _ in range(20):
+            c = random_circuit(rng, max_qubits=4)
+            d = 1 << c.num_qubits
+            skew = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            pure = to_density(random_state(rng, c.num_qubits)).matrix
+            rho = DensityMatrix(pure + 3e-12 * (skew - skew.conj().T))
+            u = unitary_of(c)
+            expected = u @ rho.matrix @ u.conj().T
+            np.testing.assert_allclose(apply_density(c, rho).matrix, expected, rtol=0, atol=1e-14)
+
+    def test_peak_memory_is_two_matrices_and_a_block(self, rng, random_circuit, random_state):
+        n = 9
+        c = random_circuit(rng, num_qubits=n, max_instructions=24)
+        tail = (Instruction(gates.H, (n - 1,)), Instruction(gates.CNOT, (0, n - 1)))
+        c = Circuit(n, c.instructions + tail)
+        rho = to_density(random_state(rng, n))
+        tracemalloc.start()
+        try:
+            apply_density(c, rho)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # rho and its spare, plus the half-matrix temporary numpy makes when a
+        # permutation copies between interleaved blocks of one buffer.
+        assert peak <= 2.6 * 16 * 4**n
+
 
 class TestEmbed:
     def test_single_wire_identity_embedding(self):
@@ -176,6 +206,19 @@ class TestUnitaryOf:
     def test_is_unitary(self, rng, random_circuit):
         for _ in range(25):
             assert is_unitary(unitary_of(random_circuit(rng)), 1e-10)
+
+
+class TestUnitary:
+    """The engine's U @ I against the brute-force product of embedded gates."""
+
+    def test_matches_oracle(self, rng, random_circuit):
+        for _ in range(50):
+            c = random_circuit(rng, max_qubits=5)
+            np.testing.assert_allclose(unitary(c), unitary_of(c), rtol=0, atol=1e-12)
+
+    def test_capacity(self):
+        with pytest.raises(CapacityError):
+            unitary(Circuit(13))
 
 
 def random_unitary(rng, dim):

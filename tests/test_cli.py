@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from qsim import measure
+from qsim import circuit, cli, measure, qcf
 from qsim.cli import main
 
 BELL_TEXT = "qubits 2\nh 0\ncnot 0 1\n"
@@ -184,6 +184,35 @@ class TestUnitary:
         _, out, _ = run_cli(capsys, "unitary", str(path))
         assert "-0.000000" not in out
 
+    def test_runs_without_the_oracle(self, capsys, monkeypatch, tmp_path):
+        def oracle(*args, **kwargs):
+            raise AssertionError("qsim unitary called the brute-force oracle")
+
+        for name in ("unitary_of", "embed"):
+            monkeypatch.setattr(circuit, name, oracle)
+        monkeypatch.setattr(cli, "unitary_of", oracle, raising=False)
+        path = tmp_path / "c.qcf"
+        path.write_text("qubits 3\nh 0\ncnot 0 2\nt 1\nswap 1 2\nh 2\n")
+        code, out, err = run_cli(capsys, "unitary", str(path))
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 8
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_output_is_the_oracle_formatted(self, capsys, tmp_path, random_circuit, seed):
+        rng = np.random.default_rng(seed)
+        c = random_circuit(rng, num_qubits=1 + seed % 6, max_instructions=30)
+        path = tmp_path / "c.qcf"
+        path.write_text(qcf.serialize(c))
+
+        def entry(x):
+            return round(x, 6) + 0.0
+
+        expected = "".join(
+            " ".join(f"{entry(e.real):.6f}{entry(e.imag):+.6f}i" for e in row) + "\n"
+            for row in circuit.unitary_of(c)
+        )
+        assert run_cli(capsys, "unitary", str(path)) == (0, expected, "")
+
     def test_capacity(self, capsys, tmp_path):
         path = tmp_path / "big.qcf"
         path.write_text("qubits 13\n")
@@ -249,3 +278,20 @@ class TestValidate:
 
 def test_no_subcommand_is_usage_error(capsys):
     assert main([]) == 2
+
+
+def test_parser_is_built_once(capsys, monkeypatch, bell_file):
+    calls = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or build())
+    assert run_cli(capsys, "validate", bell_file) == (0, "OK\n", "")
+    assert run_cli(capsys, "run", bell_file, "--shots", "5")[0] == 0
+    assert calls == []
+
+
+def test_reused_parser_prints_the_same_help_and_usage_errors(capsys, bell_file):
+    first = [run_cli(capsys, "--help"), run_cli(capsys, "run", bell_file, "--format", "xml")]
+    assert run_cli(capsys, "run", bell_file, "--shots", "5")[0] == 0
+    assert [run_cli(capsys, "--help"), run_cli(capsys, "run", bell_file, "--format", "xml")] == first
+    assert first[0] == (0, cli.build_parser().format_help(), "")
+    assert first[1][0] == 2 and "invalid choice: 'xml'" in first[1][2]
