@@ -2,7 +2,8 @@
 
 Defaults keep every operation desk-scale: state vectors up to 24 qubits
 (16M amplitudes), density matrices up to 10, explicit circuit unitaries up
-to 12, and the search demonstrator up to 20. Setting the environment
+to 12 (the same limit caps a Hamiltonian at dimension 2**12), and the
+search demonstrator up to 20. Setting the environment
 variable ``QSIM_MAX_QUBITS`` to a positive integer overrides all four caps
 at once.
 """

@@ -3,15 +3,16 @@
 States evolve by the unitary U = exp(-i H t / hbar), built spectrally in
 :mod:`qsim.numerics`; density matrices by conjugation with the same U.
 Natural units (hbar = 1) are the default, but the constant is a field so
-it can be varied.
+it can be varied. A Hamiltonian's dimension is capped like an explicit
+unitary's, before any O(d^3) work.
 """
 
 import math
 
 import numpy as np
 
-from . import numerics
-from .errors import DimensionMismatchError, NotHermitianError, QsimError
+from . import capacity, numerics
+from .errors import CapacityError, DimensionMismatchError, NotHermitianError, QsimError
 from .qstate import DensityMatrix, StateVector, adopt_density
 
 HERMITIAN_TOL = 1e-10
@@ -23,7 +24,15 @@ class Hamiltonian:
     __slots__ = ("matrix", "hbar")
 
     def __init__(self, matrix, hbar: float = 1.0):
-        m = numerics.as_matrix(matrix).copy()
+        m = numerics.as_matrix(matrix)
+        # The propagator is an O(d^3) eigendecomposition: cap d as for unitaries.
+        cap = capacity.limit("unitary")
+        if m.shape[0] > 1 << cap:
+            raise CapacityError(
+                f"Hamiltonian dimension {m.shape[0]} exceeds {1 << cap}, "
+                f"the unitary path's limit of {cap} qubits"
+            )
+        m = m.copy()
         if not numerics.is_hermitian(m, HERMITIAN_TOL):
             raise NotHermitianError("Hamiltonian must be Hermitian")
         if not (hbar > 0.0 and math.isfinite(hbar)):

@@ -4,8 +4,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qsim import circuit as engine
 from qsim import gates
-from qsim.circuit import Circuit, Instruction, apply, apply_density, embed, unitary, unitary_of
+from qsim.circuit import (
+    BLOCK_BITS,
+    Circuit,
+    Instruction,
+    apply,
+    apply_density,
+    embed,
+    unitary,
+    unitary_of,
+)
 from qsim.errors import (
     ArityError,
     CapacityError,
@@ -288,3 +298,104 @@ class TestGateEngine:
         np.testing.assert_array_equal(rho.matrix, rho_before)
         assert not rho_out.matrix.flags.writeable
         assert (out.num_qubits, rho_out.num_qubits) == (3, 3)
+
+
+class TestKernels:
+    """The fused trailing block, the broadcast matmul and the block loop at one size.
+
+    With N = 8, wires 4-7 are the trailing ``BLOCK_BITS`` bits and wires 0-3
+    lie above them, so every kernel runs and gates straddle the boundary.
+    Every result is checked against ``unitary_of`` at 1e-12.
+    """
+
+    N = 8
+
+    def check(self, c, s):
+        expected = unitary_of(c) @ s.amplitudes
+        np.testing.assert_allclose(apply(c, s).amplitudes, expected, rtol=0, atol=1e-12)
+
+    def test_size_reaches_every_kernel(self):
+        assert 0 < self.N - BLOCK_BITS < self.N
+
+    @pytest.mark.parametrize("label", gates.GATE_LABELS)
+    def test_library_gate_on_every_wire_and_pair(self, label, rng, random_state):
+        gate = gates.standard_gate(label)
+        s = random_state(rng, self.N)
+        for wires in itertools.permutations(range(self.N), gate.arity):
+            self.check(Circuit(self.N, [Instruction(gate, wires)]), s)
+
+    @pytest.mark.parametrize(
+        "wires",
+        [(0,), (3,), (4,), (7,)]
+        + [(3, 4), (4, 3), (0, 7), (7, 2), (5, 6), (1, 2)]
+        + [(3, 4, 5), (6, 2, 4), (0, 7, 3), (5, 7, 6), (2, 0, 1)],
+    )
+    def test_user_dense_gates_on_both_sides_of_the_boundary(self, wires, rng, random_state):
+        gate = gates.Gate("U", len(wires), random_unitary(rng, 1 << len(wires)))
+        instrs = [Instruction(gates.H, (6,)), Instruction(gate, wires), Instruction(gates.Y, (4,))]
+        self.check(Circuit(self.N, instrs), random_state(rng, self.N))
+
+    def test_runs_split_at_instructions_outside_the_block(self, monkeypatch, rng, random_state):
+        runs = []
+        fold = engine._fold
+
+        def spy(run, bits, shift):
+            run = list(run)
+            runs.append([instr.wires for instr in run])
+            return fold(run, bits, shift)
+
+        monkeypatch.setattr(engine, "_fold", spy)
+        # Wires 0-3 lie above the block: X 2, H 0 and CNOT 3-5 break the runs.
+        steps = [
+            (gates.H, (5,)),
+            (gates.CNOT, (6, 7)),
+            (gates.S, (4,)),
+            (gates.X, (2,)),
+            (gates.Y, (7,)),
+            (gates.H, (0,)),
+            (gates.T, (6,)),
+            (gates.SWAP, (4, 7)),
+            (gates.CNOT, (3, 5)),
+            (gates.H, (4,)),
+        ]
+        self.check(Circuit(self.N, [Instruction(gate, w) for gate, w in steps]), random_state(rng, self.N))
+        assert runs == [[(5,), (6, 7), (4,)], [(7,)], [(6,), (4, 7)], [(4,)]]
+
+    def test_dense_one_qubit_gates_never_slice_blocks(self, monkeypatch, rng, random_state):
+        def refuse(*args):
+            raise AssertionError("a dense 1-qubit gate reached the block loop")
+
+        monkeypatch.setattr(engine, "_blocks", refuse)
+        instrs = [Instruction(gates.H, (w,)) for w in (0, 3, 5, 1, 7, 2, 4, 6)]
+        self.check(Circuit(self.N, instrs), random_state(rng, self.N))
+
+    @pytest.mark.parametrize("n", range(1, BLOCK_BITS + 1))
+    def test_circuits_no_wider_than_the_block(self, n, rng, random_circuit, random_state):
+        for _ in range(20):
+            c = random_circuit(rng, num_qubits=n)
+            if n >= 2:
+                dense = gates.Gate("U", 2, random_unitary(rng, 4))
+                wires = tuple(int(w) for w in rng.choice(n, 2, replace=False))
+                c = Circuit(n, c.instructions + (Instruction(dense, wires),))
+            s = random_state(rng, n)
+            self.check(c, s)
+            u = unitary_of(c)
+            np.testing.assert_allclose(unitary(c), u, rtol=0, atol=1e-12)
+            rho = to_density(s)
+            expected = u @ rho.matrix @ u.conj().T
+            np.testing.assert_allclose(apply_density(c, rho).matrix, expected, rtol=0, atol=1e-12)
+
+    def test_peak_memory_is_two_states(self):
+        # The block zgemm and the broadcast matmul write through ``out=``: the
+        # copy of the input and its spare are the only state-sized allocations.
+        n = 16
+        steps = [(gates.H, 0), (gates.H, 8), (gates.S, 12), (gates.Y, 13), (gates.H, 15)]
+        c = Circuit(n, [Instruction(gate, (w,)) for gate, w in steps])
+        s = zero_state(n)
+        tracemalloc.start()
+        try:
+            apply(c, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * 16 * 2**n

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qsim import gates
-from qsim.errors import DimensionMismatchError, NotHermitianError, QsimError
+from qsim.errors import CapacityError, DimensionMismatchError, NotHermitianError, QsimError
 from qsim.evolve import Hamiltonian, evolve, evolve_density
 from qsim.observables import Observable, expectation
 from qsim.qstate import basis_state, purity, to_density, zero_state
@@ -21,6 +21,12 @@ class TestHamiltonian:
             Hamiltonian(gates.Z.matrix, hbar=0.0)
         with pytest.raises(QsimError):
             Hamiltonian(gates.Z.matrix, hbar=-1.0)
+
+    def test_dimension_capped_by_unitary_limit(self, monkeypatch):
+        monkeypatch.setenv("QSIM_MAX_QUBITS", "3")
+        with pytest.raises(CapacityError, match="Hamiltonian dimension 16 exceeds 8"):
+            Hamiltonian(np.eye(16))
+        assert Hamiltonian(np.eye(8)).matrix.shape == (8, 8)
 
     def test_rejects_nonfinite_duration(self):
         with pytest.raises(QsimError):
