@@ -94,4 +94,11 @@ def grover_optimal_iterations(num_qubits: int) -> int:
     if num_qubits < 1:
         raise QsimError(f"need at least 1 qubit, got {num_qubits}")
     theta = math.asin(2.0 ** (-num_qubits / 2.0))
-    return max(0, round(math.pi / (4.0 * theta) - 0.5))
+    # From 2049 qubits on, the count overflows a float (round(inf)), and
+    # from 2150 on theta underflows to 0.
+    try:
+        return max(0, round(math.pi / (4.0 * theta) - 0.5))
+    except (OverflowError, ZeroDivisionError):
+        raise QsimError(
+            f"optimal iteration count for {num_qubits} qubits exceeds the float range"
+        ) from None

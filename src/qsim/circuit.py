@@ -16,9 +16,12 @@ picks one of three kernels from the gate's wires and the size of M alone:
    wire, whose inner stride s is then at least 2**BLOCK_BITS, is one
    (2, 2) @ (outer, 2, s) matmul.
 3. Block loop. A monomial gate (diagonal, permutation, phase-permutation)
-   multiplies the blocks whose phase is not 1 in place and moves the
-   blocks of its cycles through the spare buffer; a dense gate on two or
-   more wires writes its output block by block into the spare buffer.
+   works in place: each block it re-phases or moves is one
+   ``np.multiply(phase, src, out=dst)``, phase 1 included. numpy proves the
+   interleaved views of one buffer disjoint and makes no copy of the
+   block; only the first block of a cycle is held in the spare buffer. A
+   dense gate on two or more wires writes its output block by block into
+   the spare buffer.
 
 Kernels 1 and 2 write through ``out=`` into the spare buffer, which then
 becomes the state. :func:`apply` runs the engine on a state vector,
@@ -152,24 +155,18 @@ def _blocks(buf: np.ndarray, wires) -> list:
     return views
 
 
-def _move(dst: np.ndarray, src: np.ndarray, phase: complex) -> None:
-    if phase == 1:
-        np.copyto(dst, src)
-    else:
-        np.multiply(phase, src, out=dst)
-
-
 def _apply_gate(buf, spare, gate: Gate, wires):
     """Apply ``gate`` to ``wires`` of ``buf`` (kernels 2 and 3 of the module docstring).
 
     ``buf`` and ``spare`` are C-ordered arrays of the same size; returns them
     as (state, spare) after the gate. A dense 1-qubit gate is one broadcast
-    matmul into ``spare``. A monomial gate works in place: re-phased blocks
-    are multiplied where they lie and each cycle moves its blocks along,
-    ``spare`` holding the first one. A wider dense gate writes its output
-    block by block into ``spare``; row r is g[r,0]*b0 + g[r,1]*b1 + ...,
-    summed left to right. Whenever the output lands in ``spare``, the two
-    arrays trade roles.
+    matmul into ``spare``. A monomial gate works in place: each cycle moves
+    its blocks along, ``spare`` holding the first one, and every move or
+    re-phase, by phase 1 too, is one ``np.multiply`` into the destination
+    block, with no block-sized temporary. A wider dense gate writes its
+    output block by block into ``spare``; row r is g[r,0]*b0 + g[r,1]*b1 +
+    ..., summed left to right. Whenever the output lands in ``spare``, the
+    two arrays trade roles.
     """
     if gate.cycles is None and gate.arity == 1:
         stride = buf.size >> (wires[0] + 1)
@@ -183,9 +180,8 @@ def _apply_gate(buf, spare, gate: Gate, wires):
             if len(rows) > 1:
                 held = spare.reshape(-1)[: held.size].reshape(held.shape)
                 np.copyto(held, rows[0])
-            for dst, src, (_, phase) in zip(rows, rows[1:], cycle):
-                _move(dst, src, phase)
-            _move(rows[-1], held, cycle[-1][1])
+            for dst, src, (_, phase) in zip(rows, rows[1:] + [held], cycle):
+                np.multiply(phase, src, out=dst)
         return buf, spare
     g = gate.matrix
     out = _blocks(spare, wires)

@@ -16,7 +16,9 @@ import argparse
 import json
 import sys
 
-from . import measure, qcf
+import numpy as np
+
+from . import capacity, measure, qcf
 from .algorithms import (
     GroverSpec,
     grover_optimal_iterations,
@@ -89,15 +91,14 @@ def _format_density(circuit: Circuit, fmt: str) -> str:
     dist = measure.probabilities_density(rho)
     labels = dist.labels()
     probs = dist.probabilities
+    if fmt == "text":
+        return "".join(f"{label} {_entry(float(p), 9):.9f}\n" for label, p in zip(labels, probs))
+    # Adding 0.0 turns an IEEE -0.0 into 0.0 and leaves every other value as it is.
+    values = (probs + 0.0).tolist()
     if fmt == "json":
-        payload = {
-            "num_qubits": dist.num_qubits,
-            "probabilities": {label: float(p) for label, p in zip(labels, probs)},
-        }
+        payload = {"num_qubits": dist.num_qubits, "probabilities": dict(zip(labels, values))}
         return json.dumps(payload, indent=2) + "\n"
-    if fmt == "csv":
-        return "".join(f"{label},{float(p)!r}\n" for label, p in zip(labels, probs))
-    return "".join(f"{label} {_entry(float(p), 9):.9f}\n" for label, p in zip(labels, probs))
+    return "".join(f"{label},{p!r}\n" for label, p in zip(labels, values))
 
 
 def _format_histogram(hist: measure.ShotHistogram, fmt: str) -> str:
@@ -134,10 +135,12 @@ def _entry(value: float, digits: int) -> float:
 
 
 def _cmd_unitary(args, out, err) -> int:
-    for row in unitary(_load_circuit(args.file)):
-        out.write(
-            " ".join(f"{_entry(e.real, 6):.6f}{_entry(e.imag, 6):+.6f}i" for e in row) + "\n"
-        )
+    u = unitary(_load_circuit(args.file))
+    row_format = " ".join(["%.6f%+.6fi"] * len(u)) + "\n"
+    # The real and imaginary parts of a row, interleaved, rounded by numpy as
+    # _entry rounds an np.float64: one vector pass and one format per row.
+    for parts in u.view(np.float64):
+        out.write(row_format % tuple((np.round(parts, 6) + 0.0).tolist()))
     return EXIT_OK
 
 
@@ -147,6 +150,7 @@ def _cmd_grover(args, out, err) -> int:
         if args.qubits < 1:
             err.write("error: qubits must be at least 1\n")
             return EXIT_USAGE
+        capacity.check("grover", args.qubits)
         iterations = grover_optimal_iterations(args.qubits)
     try:
         spec = GroverSpec(num_qubits=args.qubits, marked=args.marked, iterations=iterations)

@@ -131,8 +131,16 @@ def _pick(probs: np.ndarray, cum: np.ndarray, draws: np.ndarray) -> np.ndarray:
     return picks
 
 
+def _check_draw(rng_draw: float) -> None:
+    # Outside [0, 1), NaN included, CDF inversion could pick an outcome of
+    # probability 0.
+    if not 0.0 <= rng_draw < 1.0:
+        raise ProbabilityError(f"draw must lie in [0, 1), got {rng_draw!r}")
+
+
 def measure_all(state: StateVector, rng_draw: float) -> MeasurementRecord:
     """Measure every qubit; the state collapses to one basis vector."""
+    _check_draw(rng_draw)
     probs = probabilities(state).probabilities
     k = int(_pick(probs, np.cumsum(probs), np.array([rng_draw]))[0])
     return MeasurementRecord(
@@ -143,6 +151,7 @@ def measure_all(state: StateVector, rng_draw: float) -> MeasurementRecord:
 
 def measure_qubit(state: StateVector, qubit: int, rng_draw: float) -> MeasurementRecord:
     """Measure one qubit; the rest of the state is projected and renormalized."""
+    _check_draw(rng_draw)
     n = state.num_qubits
     if not 0 <= qubit < n:
         raise WireOutOfRangeError(f"qubit {qubit} out of range for {n} qubits")

@@ -1,6 +1,7 @@
 """The qcf circuit file format: a tiny line-oriented text language.
 
-Grammar (UTF-8, LF newlines; CRLF accepted on input and normalized away):
+Grammar (UTF-8; LF, CRLF and a lone CR each end a line, as in a text-mode
+``open``, for :func:`parse` and :func:`decode` alike):
 
     file        := header line*
     header      := "qubits" INT          -- INT >= 1, must be the first line
@@ -8,7 +9,7 @@ Grammar (UTF-8, LF newlines; CRLF accepted on input and normalized away):
     comment     := "#" ...               -- full-line only
     instruction := GATE INT{arity}       -- one per line
     GATE        := x | y | z | s | t | h | swap | cnot   -- case-insensitive
-    INT         := [0-9]+                -- ASCII digits only
+    INT         := [0-9]+                -- ASCII digits only, at most 4300
 
 cnot wires read control then target. Canonical output (``serialize``) uses
 lowercase gate labels, single spaces, one instruction per line, and a
@@ -63,7 +64,12 @@ def _parse_int(text: str, line_no: int, column: int, what: str) -> int:
         raise ParseError(
             line_no, column, ParseErrorKind.BAD_INTEGER, f"{what} must be an unsigned integer, got {text!r}"
         )
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # more digits than int() converts (4300 by default)
+        raise ParseError(
+            line_no, column, ParseErrorKind.BAD_INTEGER, f"{what} has too many digits ({len(text)})"
+        ) from None
 
 
 def _universal_newlines(text: str) -> str:
@@ -91,10 +97,9 @@ def decode(data: bytes) -> str:
 
 def parse(source: str) -> Circuit:
     """Parse qcf text into a circuit."""
-    lines = source.split("\n")
+    lines = _universal_newlines(source).split("\n")
     if lines and lines[-1] == "":
         lines.pop()  # trailing newline produces no extra line
-    lines = [line[:-1] if line.endswith("\r") else line for line in lines]
 
     header_tokens = _tokens(lines[0]) if lines else []
     if not header_tokens or header_tokens[0][0].lower() != "qubits":

@@ -111,6 +111,15 @@ class TestClosedForm:
         with pytest.raises(QsimError):
             grover_optimal_iterations(0)
 
+    @pytest.mark.parametrize("n", [2049, 2100, 5000])
+    def test_optimal_iterations_beyond_the_float_range(self, n):
+        # The count overflows a float from 2049 qubits on; at 5000, theta is 0.
+        with pytest.raises(QsimError, match="float range"):
+            grover_optimal_iterations(n)
+
+    def test_optimal_iterations_at_the_float_range(self):
+        assert grover_optimal_iterations(2048) > 10**307
+
 
 class TestIterationGeometry:
     def test_unmarked_amplitudes_stay_equal(self):

@@ -88,6 +88,19 @@ class TestRun:
         assert "-0.000000000" not in out
         assert out.splitlines()[0] == "000000 0.000000000"
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_density_csv_and_json_have_no_negative_zero(self, capsys, tmp_path, fmt):
+        # Z on a wire in |0> leaves exact -0.0 on outcomes 010, 011, 110, 111.
+        path = tmp_path / "negzero.qcf"
+        path.write_text("qubits 3\nh 0\nz 1\n")
+        code, out, _ = run_cli(capsys, "run", str(path), "--backend", "density", "--format", fmt)
+        assert code == 0
+        assert "-0.0" not in out
+        if fmt == "csv":
+            assert out.splitlines()[2] == "010,0.0"
+        else:
+            assert '"110": 0.0,' in out
+
     def test_byte_identical_reruns(self, capsys, bell_file):
         first = run_cli(capsys, "run", bell_file, "--shots", "512", "--seed", "9")
         second = run_cli(capsys, "run", bell_file, "--shots", "512", "--seed", "9")
@@ -213,6 +226,36 @@ class TestUnitary:
         )
         assert run_cli(capsys, "unitary", str(path)) == (0, expected, "")
 
+    def test_rounding_edges_match_per_entry_formatting(self, capsys, monkeypatch, bell_file):
+        # The row-at-a-time format rounds with numpy as round() rounds an
+        # np.float64 entry: 2.5e-6 prints 0.000002, where '%.6f' alone gives
+        # 0.000003, and a value that rounds to zero never prints a minus sign.
+        parts = [0.0, -0.0]
+        for edge in (5e-7, 2.5e-6):
+            for x in (np.nextafter(edge, 0), edge, np.nextafter(edge, 1)):
+                parts += [x, -x]
+        entries = np.array(parts[0::2]) + 1j * np.array(parts[1::2])
+        entries[0] = complex(-0.0, -0.0)
+        u = np.array([np.roll(entries, k) for k in range(entries.size)])
+        monkeypatch.setattr(cli, "unitary", lambda c: u)
+
+        def entry(x):
+            return round(x, 6) + 0.0
+
+        expected = "".join(
+            " ".join(f"{entry(e.real):.6f}{entry(e.imag):+.6f}i" for e in row) + "\n"
+            for row in u
+        )
+        assert run_cli(capsys, "unitary", bell_file) == (0, expected, "")
+        pinned = np.array([[complex(2.5e-6, -0.0), complex(-5e-7, np.nextafter(5e-7, 1))],
+                           [complex(-0.0, -2.5e-6), 1.0]])
+        monkeypatch.setattr(cli, "unitary", lambda c: pinned)
+        assert run_cli(capsys, "unitary", bell_file) == (
+            0,
+            "0.000002+0.000000i 0.000000+0.000001i\n0.000000-0.000002i 1.000000+0.000000i\n",
+            "",
+        )
+
     def test_capacity(self, capsys, tmp_path):
         path = tmp_path / "big.qcf"
         path.write_text("qubits 13\n")
@@ -250,6 +293,20 @@ class TestGrover:
         code, out, err = run_cli(capsys, "grover", "25", "0")
         assert code == 3
         assert out == ""
+
+    @pytest.mark.parametrize("qubits", ["2000", "2100", "5000"])
+    def test_capacity_before_default_iterations(self, capsys, qubits):
+        # The optimal count for 2100 qubits overflows a float and, for 5000,
+        # divides by zero: the cap must come first.
+        code, out, err = run_cli(capsys, "grover", qubits, "0")
+        assert (code, out) == (3, "")
+        assert err == f"error: grover path supports at most 20 qubits, got {qubits}\n"
+
+    def test_uncountable_iterations_above_a_raised_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("QSIM_MAX_QUBITS", "6000")
+        code, out, err = run_cli(capsys, "grover", "5000", "0")
+        assert (code, out) == (3, "")
+        assert "exceeds the float range" in err
 
     def test_bad_marked_index(self, capsys):
         code, out, err = run_cli(capsys, "grover", "2", "4")

@@ -166,6 +166,12 @@ class TestMeasureAll:
         for _ in range(200):
             assert measure_all(state, float(rng.random())).outcome in {"00", "11"}
 
+    @pytest.mark.parametrize("draw", [-0.25, -1e-300, 1.0, 1.5, float("nan"), float("inf")])
+    def test_draw_outside_unit_interval_rejected(self, draw):
+        # -0.25 used to select |0>, an outcome of probability 0.
+        with pytest.raises(ProbabilityError):
+            measure_all(basis_state(1, 1), draw)
+
 
 class TestPick:
     def test_vector_of_draws(self):
@@ -232,6 +238,11 @@ class TestMeasureQubit:
     def test_out_of_range(self):
         with pytest.raises(WireOutOfRangeError):
             measure_qubit(BELL_STATE, 2, 0.5)
+
+    @pytest.mark.parametrize("draw", [-0.25, 1.0, float("nan")])
+    def test_draw_outside_unit_interval_rejected(self, draw):
+        with pytest.raises(ProbabilityError):
+            measure_qubit(BELL_STATE, 0, draw)
 
     def test_collapse_idempotent(self, rng, random_state):
         """Re-measuring the collapsed qubit repeats the bit for every draw."""

@@ -34,6 +34,11 @@ class TestParse:
     def test_crlf_normalized(self):
         assert parse("qubits 2\r\nh 0\r\ncnot 0 1\r\n") == bell_circuit()
 
+    def test_lone_cr_ends_a_line(self):
+        # The same rule as decode: the bytes of a file and its text parse alike.
+        assert parse("qubits 1\rh 0\r") == Circuit(1, [Instruction(gates.H, (0,))])
+        assert parse("qubits 2\rh 0\r\ncnot 0 1") == bell_circuit()
+
     def test_no_trailing_newline(self):
         assert parse("qubits 2\nh 0\ncnot 0 1") == bell_circuit()
 
@@ -54,6 +59,13 @@ class TestParseErrors:
     def test_empty_file(self):
         e = err("")
         assert (e.line, e.column, e.kind) == (1, 1, ParseErrorKind.MISSING_HEADER)
+
+    def test_integer_beyond_int_conversion(self):
+        # int() converts at most 4300 digits by default; more is a located error.
+        many = "9" * 5000
+        for source, where in ((f"qubits {many}\n", (1, 8)), (f"qubits 2\nh {many}\n", (2, 3))):
+            e = err(source)
+            assert (e.line, e.column, e.kind) == (*where, ParseErrorKind.BAD_INTEGER)
 
     def test_blank_first_line(self):
         assert err("\nqubits 1\n").kind == ParseErrorKind.MISSING_HEADER
