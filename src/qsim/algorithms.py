@@ -11,6 +11,7 @@ the closed form every run is checked against.
 """
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -60,27 +61,29 @@ def _iterate(amps: np.ndarray, marked: int) -> None:
     np.subtract(2 * amps.mean(), amps, out=amps)
 
 
-def _search(spec: GroverSpec) -> tuple[np.ndarray, list[float]]:
-    """Final amplitudes and the success probability after 0, 1, ..., k iterations."""
+def _search(spec: GroverSpec) -> Iterator[np.ndarray]:
+    """The amplitudes after 0, 1, ..., k iterations: one array, updated in place."""
     capacity.check("grover", spec.num_qubits)
     dim = 1 << spec.num_qubits
     amps = np.full(dim, dim**-0.5, dtype=np.complex128)  # H^n |0...0>
-    trajectory = [float(abs(amps[spec.marked]) ** 2)]
+    yield amps
     for _ in range(spec.iterations):
         _iterate(amps, spec.marked)
-        trajectory.append(float(abs(amps[spec.marked]) ** 2))
-    return amps, trajectory
+        yield amps
 
 
 def grover_success_trajectory(spec: GroverSpec) -> list[float]:
     """Success probability after 0, 1, ..., spec.iterations iterations."""
-    return _search(spec)[1]
+    return [float(abs(amps[spec.marked]) ** 2) for amps in _search(spec)]
 
 
 def grover_run(spec: GroverSpec) -> GroverResult:
     """Run the full loop and report the marked-state hit probability."""
-    amps, trajectory = _search(spec)
-    return GroverResult(final_state=StateVector(amps), success_probability=trajectory[-1])
+    for amps in _search(spec):
+        pass
+    return GroverResult(
+        final_state=StateVector(amps), success_probability=float(abs(amps[spec.marked]) ** 2)
+    )
 
 
 def grover_success_closed_form(num_qubits: int, iterations: int) -> float:

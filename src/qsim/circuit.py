@@ -11,7 +11,9 @@ picks one of three kernels from the gate's wires and the size of M alone:
    wires all lie in the last ``BLOCK_BITS`` bits of M is folded into one
    2**BLOCK_BITS-square matrix, by running the engine on the identity, and
    applied as one zgemm over M viewed as (rows, 2**BLOCK_BITS). There a
-   strided view would give numpy one inner loop per 2-16 entries.
+   strided view would give numpy one inner loop per 2-16 entries. A
+   diagonal fold (a run of Z, S and T, say) multiplies M by its diagonal in
+   place instead: one pass, no zgemm and no spare buffer.
 2. Broadcast matmul. A dense 1-qubit gate (H, user gates) on any other
    wire, whose inner stride s is then at least 2**BLOCK_BITS, is one
    (2, 2) @ (outer, 2, s) matmul.
@@ -23,11 +25,11 @@ picks one of three kernels from the gate's wires and the size of M alone:
    dense gate on two or more wires writes its output block by block into
    the spare buffer.
 
-Kernels 1 and 2 write through ``out=`` into the spare buffer, which then
-becomes the state. :func:`apply` runs the engine on a state vector,
-:func:`unitary` on the identity, and :func:`apply_density` twice:
-U rho U† = (U (U rho)†)†, with a conjugate transpose into the spare buffer
-after each pass, exact for any rho. In those two, M has 2n bits and the
+Kernel 2 and a dense fold of kernel 1 write through ``out=`` into the
+spare buffer, which then becomes the state. :func:`apply` runs the engine
+on a state vector, :func:`unitary` on the identity, and
+:func:`apply_density` twice: U rho U† = (U (U rho)†)†, with a conjugate
+transpose into the spare buffer after each pass, exact for any rho. In those two, M has 2n bits and the
 circuit acts on the first n, so from n = BLOCK_BITS on no wire reaches the
 trailing block and their passes use kernels 2 and 3 only. Outputs come
 from valid inputs by unitary steps and are not validated again.
@@ -214,7 +216,8 @@ def _rows(circuit: Circuit, buf, spare):
 
     Each maximal run of instructions on the trailing ``BLOCK_BITS`` bits of
     ``buf`` is folded into one small matrix and applied as one zgemm over
-    ``buf`` viewed as (rows, 2**bits); every other instruction goes to
+    ``buf`` viewed as (rows, 2**bits), or, when that matrix is diagonal, as
+    one multiply in place; every other instruction goes to
     :func:`_apply_gate`.
     """
     nbits = buf.size.bit_length() - 1
@@ -222,9 +225,13 @@ def _rows(circuit: Circuit, buf, spare):
     low = nbits - bits
     for in_block, run in itertools.groupby(circuit.instructions, lambda i: min(i.wires) >= low):
         if in_block:
-            cols = _fold(run, bits, low).T
-            np.matmul(buf.reshape(-1, 1 << bits), cols, out=spare.reshape(-1, 1 << bits))
-            buf, spare = spare, buf
+            m = _fold(run, bits, low)
+            rows, diagonal = buf.reshape(-1, 1 << bits), np.diagonal(m)
+            if np.count_nonzero(m) == np.count_nonzero(diagonal):
+                np.multiply(rows, diagonal, out=rows)
+            else:
+                np.matmul(rows, m.T, out=spare.reshape(-1, 1 << bits))
+                buf, spare = spare, buf
         else:
             for instr in run:
                 buf, spare = _apply_gate(buf, spare, instr.gate, instr.wires)

@@ -87,6 +87,8 @@ def _load_circuit(path: str) -> Circuit:
 
 
 def _format_density(circuit: Circuit, fmt: str) -> str:
+    # Checked before |0...0><0...0| is built: over the cap, that alone can exhaust memory.
+    capacity.check("density", circuit.num_qubits)
     rho = apply_density(circuit, to_density(zero_state(circuit.num_qubits)))
     dist = measure.probabilities_density(rho)
     labels = dist.labels()

@@ -16,9 +16,6 @@ from .qstate import DensityMatrix, StateVector, adopt_density
 
 ENTROPY_EIGENVALUE_CUTOFF = 1e-12
 
-_AXIS_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-
-
 @dataclass(frozen=True)
 class Bipartition:
     """A split of the qubits into two non-empty complementary groups."""
@@ -65,24 +62,13 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     if len(kept) == n:
         raise SubsystemError("kept qubits must be a strict subset")
 
-    # Row axis of qubit q is q, column axis is n + q; traced qubits share a
-    # letter between row and column so einsum contracts them.
-    out_row, out_col = [], []
-    letters = iter(_AXIS_LETTERS)
-    subscript = [""] * (2 * n)
-    for q in range(n):
-        if q in kept:
-            r, c = next(letters), next(letters)
-            subscript[q], subscript[n + q] = r, c
-            out_row.append(r)
-            out_col.append(c)
-        else:
-            t = next(letters)
-            subscript[q] = subscript[n + q] = t
-    subscripts = "".join(subscript) + "->" + "".join(out_row + out_col)
+    # Row axis of qubit q is q, column axis n + q for a kept qubit; a traced
+    # qubit's column axis shares the row's label, so einsum contracts them.
+    cols = [n + q if q in kept else q for q in range(n)]
     tensor = rho.matrix.reshape((2,) * (2 * n))
+    reduced = np.einsum(tensor, list(range(n)) + cols, kept + [n + q for q in kept])
     dim = 1 << len(kept)
-    return adopt_density(np.einsum(subscripts, tensor).reshape(dim, dim))
+    return adopt_density(reduced.reshape(dim, dim))
 
 
 def _schmidt_weights(state: StateVector, part: Bipartition) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Born-rule probabilities, projective measurement, and seeded sampling.
 
-Measurement is in the computational basis throughout. Outcome selection is
-CDF inversion: the result is the least basis index whose cumulative
-probability strictly exceeds the uniform draw, so a draw landing exactly
-on a bucket boundary falls into the next bucket and zero-probability
+Measurement is in the computational basis throughout. :func:`sample`,
+:func:`measure_all` and :func:`measure_qubit` (on the qubit's marginal) pick
+outcomes by one CDF inversion, :func:`_pick`: the least outcome whose
+cumulative probability strictly exceeds the uniform draw, so a draw landing
+exactly on a bucket boundary falls into the next bucket and zero-probability
 outcomes can never be selected.
 
 Sampling reproducibility: shot i's draw is the first double of a Philox
@@ -22,9 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import capacity
 from .circuit import Circuit, apply
 from .errors import ProbabilityError, QsimError, WireOutOfRangeError
-from .qstate import DensityMatrix, StateVector, _adopt, basis_state, zero_state
+from .qstate import DensityMatrix, StateVector, _adopt, adopt_state, basis_state, zero_state
 
 PROB_TOL = 1e-12
 SUM_TOL = 1e-10
@@ -155,18 +157,13 @@ def measure_qubit(state: StateVector, qubit: int, rng_draw: float) -> Measuremen
     n = state.num_qubits
     if not 0 <= qubit < n:
         raise WireOutOfRangeError(f"qubit {qubit} out of range for {n} qubits")
-    shift = n - 1 - qubit
-    indices = np.arange(state.amplitudes.size)
-    mask = (indices >> shift) & 1
-    weights = np.abs(state.amplitudes) ** 2
-    p_zero = float(weights[mask == 0].sum())
-    p_one = float(weights[mask == 1].sum())
-    bit = 0 if rng_draw < p_zero else 1
-    if (p_zero if bit == 0 else p_one) == 0.0:
-        bit = 1 - bit
-    projected = np.where(mask == bit, state.amplitudes, 0.0)
-    norm = np.sqrt(p_zero if bit == 0 else p_one)
-    return MeasurementRecord(outcome=str(bit), post_state=StateVector(projected / norm))
+    shape = (1 << qubit, 2, -1)  # the qubit is axis 1
+    marginal = probabilities(state).probabilities.reshape(shape).sum(axis=(0, 2))
+    bit = int(_pick(marginal, np.cumsum(marginal), np.array([rng_draw]))[0])
+    amps = state.amplitudes.reshape(shape)
+    post = np.zeros_like(amps)
+    np.divide(amps[:, bit], np.sqrt(marginal[bit]), out=post[:, bit])
+    return MeasurementRecord(outcome=str(bit), post_state=adopt_state(post.reshape(-1)))
 
 
 def _mulhilo(m: int, x):
@@ -217,6 +214,8 @@ def sample(circuit: Circuit, shots: int, seed: int, *, workers: int = 1) -> Shot
         raise ProbabilityError(f"shots must be positive, got {shots}")
     if not 0 <= seed <= MAX_SEED:
         raise QsimError(f"seed must be an unsigned 64-bit integer, got {seed}")
+    # Checked before |0...0> is built: over the cap, that alone can exhaust memory.
+    capacity.check("statevector", circuit.num_qubits)
     probs = probabilities(apply(circuit, zero_state(circuit.num_qubits))).probabilities
     cum = np.cumsum(probs)
     # add.at costs O(chunk); a bincount would clear and add 2**n counts per chunk.

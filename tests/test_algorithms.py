@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,16 @@ class TestGroverRun:
     def test_capacity(self):
         with pytest.raises(CapacityError):
             grover_run(GroverSpec(21, 0, 1))
+
+    def test_memory_does_not_grow_with_iterations(self):
+        grover_run(GroverSpec(2, 0, 10))  # warm up imports and caches
+        tracemalloc.start()
+        try:
+            grover_run(GroverSpec(2, 0, 10**4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**10
 
     def test_final_state_matches_trajectory(self):
         spec = GroverSpec(4, 7, 3)

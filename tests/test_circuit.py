@@ -381,6 +381,18 @@ class TestKernels:
         self.check(Circuit(self.N, [Instruction(gate, w) for gate, w in steps]), random_state(rng, self.N))
         assert runs == [[(5,), (6, 7), (4,)], [(7,)], [(6,), (4, 7)], [(4,)]]
 
+    def test_diagonal_runs_multiply_in_place(self, rng, random_state):
+        # T Z S T folds to a diagonal, and so does X S X, a product of
+        # non-diagonal gates: neither makes a zgemm or swaps to the spare.
+        steps = [(gates.T, 7), (gates.Z, 4), (gates.S, 6), (gates.T, 5)]
+        diagonal = Circuit(self.N, [Instruction(gate, (w,)) for gate, w in steps])
+        xsx = Circuit(self.N, [Instruction(gate, (6,)) for gate in (gates.X, gates.S, gates.X)])
+        s = random_state(rng, self.N)
+        for c in (diagonal, xsx):
+            buf = s.amplitudes.copy()
+            assert engine._rows(c, buf, np.empty_like(buf))[0] is buf
+            self.check(c, s)
+
     def test_dense_one_qubit_gates_never_slice_blocks(self, monkeypatch, rng, random_state):
         def refuse(*args):
             raise AssertionError("a dense 1-qubit gate reached the block loop")

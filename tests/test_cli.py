@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -152,6 +153,32 @@ class TestRun:
         assert code == 3
         assert out == ""
         assert f"QSIM_MAX_QUBITS must be at least 1, got '{value}'" in err
+
+    @pytest.mark.parametrize(
+        "qubits,backend,cap",
+        [(63, "statevector", 24), (10**4, "statevector", 24)]
+        + [(11, "density", 10), (63, "density", 10)],
+    )
+    def test_capacity_before_the_state_is_built(self, capsys, tmp_path, qubits, backend, cap):
+        # 63 qubits exceed numpy's largest array: building |0...0> first was a traceback.
+        path = tmp_path / "big.qcf"
+        path.write_text(f"qubits {qubits}\nh 0\n")
+        code, out, err = run_cli(capsys, "run", str(path), "--backend", backend)
+        assert (code, out) == (3, "")
+        assert err == f"error: {backend} path supports at most {cap} qubits, got {qubits}\n"
+
+    def test_density_capacity_allocates_nothing_first(self, capsys, tmp_path):
+        path = tmp_path / "big.qcf"
+        path.write_text("qubits 11\nh 0\n")
+        run_cli(capsys, "run", str(path), "--backend", "density")  # warm up imports and caches
+        tracemalloc.start()
+        try:
+            code = main(["run", str(path), "--backend", "density"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert peak < 2**20
 
     def test_out_of_memory_is_exit_3_without_traceback(self, capsys, monkeypatch, bell_file):
         def exhausted(*args, **kwargs):

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from functools import reduce
 
@@ -9,11 +10,24 @@ from qsim.algorithms import bell_circuit
 from qsim.circuit import apply
 from qsim.entangle import Bipartition, entanglement_entropy, is_entangled, partial_trace
 from qsim.errors import SubsystemError
-from qsim.qstate import basis_state, from_amplitudes, normalize, purity, to_density, zero_state
+from qsim.qstate import (
+    basis_state,
+    from_amplitudes,
+    from_ensemble,
+    normalize,
+    purity,
+    to_density,
+    zero_state,
+)
 
 SQRT2_INV = 1.0 / np.sqrt(2.0)
 BELL = apply(bell_circuit(), zero_state(2))
 SPLIT_2Q = Bipartition.split(2, [0])
+
+
+def bits_of(index, n, qubits):
+    """The bits of ``qubits`` in basis index ``index`` of n qubits, the first qubit's bit the MSB."""
+    return sum(((index >> (n - 1 - q)) & 1) << (len(qubits) - 1 - j) for j, q in enumerate(qubits))
 
 
 class TestBipartition:
@@ -57,6 +71,20 @@ class TestPartialTrace:
     def test_out_of_range_rejected(self):
         with pytest.raises(SubsystemError):
             partial_trace(to_density(BELL), [2])
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_matches_sum_over_traced_basis_states(self, n, rng, random_state):
+        states = [random_state(rng, n) for _ in range(3)]
+        rho = from_ensemble(list(zip([0.5, 0.3, 0.2], states)))
+        for size in range(1, n):
+            for kept in itertools.combinations(range(n), size):
+                traced = [q for q in range(n) if q not in kept]
+                expected = np.zeros((1 << size, 1 << size), dtype=np.complex128)
+                for r, c in itertools.product(range(1 << n), repeat=2):
+                    if bits_of(r, n, traced) == bits_of(c, n, traced):
+                        expected[bits_of(r, n, kept), bits_of(c, n, kept)] += rho.matrix[r, c]
+                reduced = partial_trace(rho, list(kept)).matrix
+                np.testing.assert_allclose(reduced, expected, rtol=0, atol=1e-14)
 
     def test_trace_preserved(self, rng, random_state):
         for _ in range(25):

@@ -8,7 +8,7 @@ import pytest
 from qsim import gates
 from qsim.algorithms import bell_circuit
 from qsim.circuit import Circuit, Instruction, apply
-from qsim.errors import ProbabilityError, QsimError, WireOutOfRangeError
+from qsim.errors import CapacityError, ProbabilityError, QsimError, WireOutOfRangeError
 from qsim.measure import (
     SHOT_CHUNK,
     OutcomeDistribution,
@@ -244,6 +244,36 @@ class TestMeasureQubit:
         with pytest.raises(ProbabilityError):
             measure_qubit(BELL_STATE, 0, draw)
 
+    def test_matches_brute_force_projector(self, rng, random_state):
+        for n in range(1, 7):
+            for _ in range(5):
+                s = random_state(rng, n)
+                for qubit in range(n):
+                    bits = (np.arange(1 << n) >> (n - 1 - qubit)) & 1
+                    weights = np.abs(s.amplitudes) ** 2
+                    p_zero = float(weights[bits == 0].sum())
+                    draw = float(rng.random())
+                    if abs(draw - p_zero) < 1e-12:
+                        continue
+                    bit = int(draw >= p_zero)
+                    projected = np.where(bits == bit, s.amplitudes, 0.0)
+                    rec = measure_qubit(s, qubit, draw)
+                    assert rec.outcome == str(bit)
+                    expected = projected / np.linalg.norm(projected)
+                    np.testing.assert_allclose(rec.post_state.amplitudes, expected, rtol=0, atol=1e-12)
+
+    def test_peak_memory_is_one_state(self):
+        n = 20
+        s = from_amplitudes(np.full(1 << n, 2.0 ** (-n / 2), dtype=np.complex128))
+        measure_qubit(zero_state(2), 1, 0.5)  # warm up imports and caches
+        tracemalloc.start()
+        try:
+            measure_qubit(s, 7, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * s.amplitudes.nbytes
+
     def test_collapse_idempotent(self, rng, random_state):
         """Re-measuring the collapsed qubit repeats the bit for every draw."""
         for _ in range(25):
@@ -259,6 +289,12 @@ class TestSample:
     def test_deterministic_circuit(self):
         hist = sample(X_CIRCUIT, 100, 0)
         assert hist.counts == {"1": 100}
+
+    @pytest.mark.parametrize("n", [63, 10**4])
+    def test_capacity_before_the_state_is_built(self, n):
+        # 63 qubits and more exceed numpy's largest array: no state may be built.
+        with pytest.raises(CapacityError, match=f"at most 24 qubits, got {n}"):
+            sample(Circuit(n), 1, 0)
 
     def test_total_equals_shots(self):
         hist = sample(bell_circuit(), 999, 5)
