@@ -3,36 +3,42 @@
 A circuit is a qubit count plus an ordered list of instructions, each a
 gate bound to distinct wires (for CNOT, wires[0] is the control).
 
-One gate engine computes U @ M in a copy of M, acting on the row bits of M
-only: O(size of M) per gate, no 2**n x 2**n gate matrix. :func:`_rows`
-picks one of three kernels from the gate's wires and the size of M alone:
+One gate engine replaces M by U @ M in place, acting on the row bits of M
+only: O(size of M) per gate, no 2**n x 2**n gate matrix, and no second
+M-sized buffer. Its one scratch is a tile of ``TILE`` entries; each kernel
+works one piece of at most a tile at a time. An M no larger than the tile
+is one piece, and where a kernel below copies a piece back from the tile,
+M and the tile trade places instead. :func:`_rows` picks one of three
+kernels from the gate's wires and the size of M alone:
 
 1. Fused trailing block. Each maximal run of consecutive instructions whose
    wires all lie in the last ``BLOCK_BITS`` bits of M is folded into one
    2**BLOCK_BITS-square matrix, by running the engine on the identity, and
-   applied as one zgemm over M viewed as (rows, 2**BLOCK_BITS). There a
-   strided view would give numpy one inner loop per 2-16 entries. A
-   diagonal fold (a run of Z, S and T, say) multiplies M by its diagonal in
-   place instead: one pass, no zgemm and no spare buffer.
+   applied as one zgemm per tile of M's rows, viewed as (rows,
+   2**BLOCK_BITS), into the tile and copied back. There a strided view
+   would give numpy one inner loop per 2-16 entries. A diagonal fold (a run
+   of Z, S and T, say) multiplies M by its diagonal in place instead: one
+   pass, no zgemm and no copy.
 2. Broadcast matmul. A dense 1-qubit gate (H, user gates) on any other
    wire, whose inner stride s is then at least 2**BLOCK_BITS, is one
-   (2, 2) @ (outer, 2, s) matmul.
+   (2, 2) @ (outer, 2, s) matmul per piece, split along outer, or along s
+   when one outer slice outgrows the tile, into the tile and copied back.
 3. Block loop. A monomial gate (diagonal, permutation, phase-permutation)
-   works in place: each block it re-phases or moves is one
+   re-phases or moves each block one piece at a time: every move is one
    ``np.multiply(phase, src, out=dst)``, phase 1 included. numpy proves the
-   interleaved views of one buffer disjoint and makes no copy of the
-   block; only the first block of a cycle is held in the spare buffer. A
-   dense gate on two or more wires writes its output block by block into
-   the spare buffer.
+   interleaved views of one buffer disjoint and makes no copy; only the
+   first block's piece of a cycle is held in the tile. A dense gate on two
+   or more wires writes the output blocks of each piece into the tile and
+   copies them back.
 
-Kernel 2 and a dense fold of kernel 1 write through ``out=`` into the
-spare buffer, which then becomes the state. :func:`apply` runs the engine
-on a state vector, :func:`unitary` on the identity, and
-:func:`apply_density` twice: U rho U† = (U (U rho)†)†, with a conjugate
-transpose into the spare buffer after each pass, exact for any rho. In those two, M has 2n bits and the
-circuit acts on the first n, so from n = BLOCK_BITS on no wire reaches the
-trailing block and their passes use kernels 2 and 3 only. Outputs come
-from valid inputs by unitary steps and are not validated again.
+:func:`apply` runs the engine on a copy of a state vector, :func:`unitary`
+on the identity, and :func:`apply_density` twice on a copy of rho: U rho U†
+= (U (U rho)†)†, exact for any rho, with the conjugate transpose after each
+pass done in place, one pair of square tiles at a time. In those two
+passes, M has 2n bits and the circuit acts on the first n, so from n =
+BLOCK_BITS on no wire reaches the trailing block and they use kernels 2 and
+3 only. Outputs come from valid inputs by unitary steps and are not
+validated again.
 
 :func:`embed` and :func:`unitary_of` build full matrices explicitly and
 exist as the brute-force oracle the engine is tested against; no library
@@ -60,6 +66,13 @@ from .qstate import DensityMatrix, StateVector, adopt_density, adopt_state
 # wire n-4 to kernels about 3x slower than the block, and 5 makes every
 # block pass cost about 1.5x more.
 BLOCK_BITS = 4
+
+# Entries of the engine's one scratch tile: 512 KiB of complex128, a quarter
+# of a core's 2 MiB L2. In a sweep of 2**12 ... 2**18 (apply at 20 qubits,
+# apply_density at 9, one BLAS thread, 2 vCPUs), 2**13 ... 2**15 were
+# fastest and within run-to-run noise of each other; 2**12 and from 2**16 up
+# were 6-26 % slower than 2**15.
+TILE = 1 << 15
 
 
 class Instruction:
@@ -132,110 +145,170 @@ class Circuit:
         return f"Circuit(num_qubits={self.num_qubits}, instructions={len(self.instructions)})"
 
 
-def _blocks(buf: np.ndarray, wires) -> list:
-    """Views of ``buf`` for each value of the bits on ``wires``.
+def _blocks(buf: np.ndarray, wires) -> np.ndarray:
+    """A view of ``buf`` with the bits on ``wires`` as its leading axes.
 
     ``buf`` is a C-ordered tensor of log2(buf.size) qubits, qubit 0 the most
-    significant bit. View k holds the entries whose ``wires`` bits read k,
-    the first wire being the most significant bit of k, so view k lines up
-    with row and column k of the gate matrix.
+    significant bit. ``view[b]``, for the bits ``b`` of k with the first
+    wire the most significant, is block k: the entries whose ``wires`` bits
+    read k, lined up with row and column k of the gate matrix.
     """
+    ordered = sorted(wires)
     shape, prev = [], 0
-    for w in sorted(wires):
+    for w in ordered:
         shape += [1 << (w - prev), 2]
         prev = w + 1
     shape.append(buf.size >> prev)
-    tensor = buf.reshape(shape)
-    axis = {w: 2 * k + 1 for k, w in enumerate(sorted(wires))}
-    m = len(wires)
-    views = []
-    for sub in range(1 << m):
-        index = [slice(None)] * len(shape)
-        for j, w in enumerate(wires):
-            index[axis[w]] = (sub >> (m - 1 - j)) & 1
-        views.append(tensor[tuple(index)])
-    return views
+    lead = [2 * ordered.index(w) + 1 for w in wires]
+    return buf.reshape(shape).transpose(lead + [a for a in range(0, len(shape), 2)])
 
 
-def _apply_gate(buf, spare, gate: Gate, wires):
-    """Apply ``gate`` to ``wires`` of ``buf`` (kernels 2 and 3 of the module docstring).
+def _pieces(shape, limit: int) -> list:
+    """Index tuples cutting an array of ``shape`` into C-ordered pieces of at most ``limit`` entries.
 
-    ``buf`` and ``spare`` are C-ordered arrays of the same size; returns them
-    as (state, spare) after the gate. A dense 1-qubit gate is one broadcast
-    matmul into ``spare``. A monomial gate works in place: each cycle moves
-    its blocks along, ``spare`` holding the first one, and every move or
-    re-phase, by phase 1 too, is one ``np.multiply`` into the destination
-    block, with no block-sized temporary. A wider dense gate writes its
-    output block by block into ``spare``; row r is g[r,0]*b0 + g[r,1]*b1 +
-    ..., summed left to right. Whenever the output lands in ``spare``, the
-    two arrays trade roles.
+    Every extent and ``limit`` are powers of two, so each piece but the
+    whole array holds exactly ``limit`` entries. ``[()]`` when it all fits.
     """
-    if gate.cycles is None and gate.arity == 1:
-        stride = buf.size >> (wires[0] + 1)
-        np.matmul(gate.matrix, buf.reshape(-1, 2, stride), out=spare.reshape(-1, 2, stride))
-        return spare, buf
+    axis, inner = len(shape), 1
+    while axis and inner * shape[axis - 1] <= limit:
+        axis -= 1
+        inner *= shape[axis]
+    if axis == 0:
+        return [()]
+    step = limit // inner
+    leads = itertools.product(*map(range, shape[: axis - 1]))
+    return [lead + (slice(a, a + step),) for lead in leads for a in range(0, shape[axis - 1], step)]
+
+
+def _through(buf, tile, view, pieces, write):
+    """Replace each piece ``view[p]`` of ``buf`` by ``write(src, out)``, through the tile.
+
+    ``write`` fills ``out``, the tile's first entries shaped like the piece
+    ``src``, and may use the tile past them as scratch; ``out`` is then
+    copied onto ``src``. When the piece is all of ``buf`` in its own order
+    and the tile is as large, the two trade places instead of copying.
+    Returns the (buffer, tile) pair.
+    """
+    for p in pieces:
+        src = view[p]
+        out = tile[: src.size].reshape(src.shape)
+        write(src, out)
+        if src.size == buf.size == tile.size and src.flags.c_contiguous:
+            return tile, buf
+        np.copyto(src, out)
+    return buf, tile
+
+
+def _apply_gate(buf, tile, gate: Gate, wires):
+    """Apply ``gate`` to ``wires`` of the flat ``buf`` (kernels 2 and 3 of the module docstring).
+
+    ``tile`` is scratch of at least 2**(arity + 1) entries, and the work goes
+    one piece of at most ``tile.size`` entries at a time. A dense 1-qubit
+    gate is one broadcast matmul per piece. A monomial gate moves the blocks
+    of each cycle along in place, the tile holding the first one's piece;
+    every move or re-phase, by phase 1 too, is one ``np.multiply`` into the
+    destination, with no temporary. A wider dense gate writes the output
+    blocks of a piece next to one scratch block; row r is g[r,0]*b0 +
+    g[r,1]*b1 + ..., summed left to right. Returns the (buffer, tile) pair
+    of :func:`_through`.
+    """
+    m = gate.arity
+    if gate.cycles is None and m == 1:
+        pairs = buf.reshape(-1, 2, buf.size >> (wires[0] + 1))
+        # A piece keeps both rows of the gate: it splits (outer, stride) only.
+        cuts = _pieces(pairs.shape[::2], tile.size >> 1)
+        pieces = [p[:1] + (slice(None),) + p[1:] for p in cuts]
+        return _through(buf, tile, pairs, pieces, lambda src, out: np.matmul(gate.matrix, src, out=out))
     blocks = _blocks(buf, wires)
+    bits = list(itertools.product((0, 1), repeat=m))
     if gate.cycles is not None:
+        pieces = _pieces(blocks.shape[m:], tile.size)
         for cycle in gate.cycles:
-            rows = [blocks[r] for r, _ in cycle]
-            held = rows[0]
-            if len(rows) > 1:
-                held = spare.reshape(-1)[: held.size].reshape(held.shape)
-                np.copyto(held, rows[0])
-            for dst, src, (_, phase) in zip(rows, rows[1:] + [held], cycle):
-                np.multiply(phase, src, out=dst)
-        return buf, spare
-    g = gate.matrix
-    out = _blocks(spare, wires)
-    last = len(out) - 1
-    # The last output block is scratch until its own row, which then
-    # scales the input blocks in place: no later row reads them.
-    for r in range(last):
-        np.multiply(g[r, 0], blocks[0], out=out[r])
-        for c in range(1, last + 1):
-            np.multiply(g[r, c], blocks[c], out=out[last])
-            np.add(out[r], out[last], out=out[r])
-    np.multiply(g[last, 0], blocks[0], out=out[last])
-    for c in range(1, last + 1):
-        np.multiply(g[last, c], blocks[c], out=blocks[c])
-        np.add(out[last], blocks[c], out=out[last])
-    return spare, buf
+            for p in pieces:
+                rows = [blocks[bits[r] + p] for r, _ in cycle]
+                held = rows[0]
+                if len(rows) > 1:
+                    held = tile[: held.size].reshape(held.shape)
+                    np.copyto(held, rows[0])
+                for dst, src, (_, phase) in zip(rows, rows[1:] + [held], cycle):
+                    np.multiply(phase, src, out=dst)
+        return buf, tile
+
+    def dense(src, out):
+        ins, outs = [src[b] for b in bits], out.reshape((len(bits),) + src.shape[m:])
+        scratch = tile[src.size : src.size + ins[0].size].reshape(ins[0].shape)
+        for r, row in enumerate(gate.matrix):
+            np.multiply(row[0], ins[0], out=outs[r])
+            for c in range(1, len(ins)):
+                np.multiply(row[c], ins[c], out=scratch)
+                np.add(outs[r], scratch, out=outs[r])
+
+    # A piece's output blocks and one scratch block fill at most the tile.
+    pieces = [(slice(None),) * m + p for p in _pieces(blocks.shape[m:], tile.size >> (m + 1))]
+    return _through(buf, tile, blocks, pieces, dense)
 
 
 def _fold(run, bits: int, shift: int) -> np.ndarray:
     """The 2**bits x 2**bits unitary of ``run``, its wires lowered by ``shift``: the engine on I."""
-    m = np.eye(1 << bits, dtype=np.complex128)
-    spare = np.empty_like(m)
+    m = np.eye(1 << bits, dtype=np.complex128).reshape(-1)
+    # Scratch the size of m, far smaller than the engine's tile.
+    tile = np.empty(m.size, dtype=m.dtype)
     for instr in run:
-        m, spare = _apply_gate(m, spare, instr.gate, [w - shift for w in instr.wires])
-    return m
+        m, tile = _apply_gate(m, tile, instr.gate, [w - shift for w in instr.wires])
+    return m.reshape(1 << bits, 1 << bits)
 
 
-def _rows(circuit: Circuit, buf, spare):
-    """(U @ buf, spare): the circuit on the row bits of ``buf``, as in :func:`_apply_gate`.
+def _rows(circuit: Circuit, buf):
+    """U @ buf: the circuit on the row bits of ``buf``, worked in place through one tile.
 
     Each maximal run of instructions on the trailing ``BLOCK_BITS`` bits of
-    ``buf`` is folded into one small matrix and applied as one zgemm over
-    ``buf`` viewed as (rows, 2**bits), or, when that matrix is diagonal, as
-    one multiply in place; every other instruction goes to
-    :func:`_apply_gate`.
+    ``buf`` is folded into one small matrix and applied over ``buf`` viewed
+    as (rows, 2**bits): as one multiply in place when that matrix is
+    diagonal, else as one zgemm per piece of rows through the tile. Every
+    other instruction goes to :func:`_apply_gate`. The tile holds
+    ``min(TILE, buf.size)`` entries, raised to a row of the fold and two
+    entries per block of the widest gate should that be smaller. Where one
+    piece is all of ``buf``, ``buf`` and the tile trade places instead of
+    copying back, so the result is ``buf`` or the tile, shaped like ``buf``.
     """
-    nbits = buf.size.bit_length() - 1
+    flat = buf.reshape(-1)
+    nbits = flat.size.bit_length() - 1
     bits = min(BLOCK_BITS, nbits)
     low = nbits - bits
+    widest = max([bits] + [instr.gate.arity + 1 for instr in circuit.instructions])
+    tile = np.empty(max(min(TILE, flat.size), 1 << widest), dtype=flat.dtype)
     for in_block, run in itertools.groupby(circuit.instructions, lambda i: min(i.wires) >= low):
-        if in_block:
-            m = _fold(run, bits, low)
-            rows, diagonal = buf.reshape(-1, 1 << bits), np.diagonal(m)
-            if np.count_nonzero(m) == np.count_nonzero(diagonal):
-                np.multiply(rows, diagonal, out=rows)
-            else:
-                np.matmul(rows, m.T, out=spare.reshape(-1, 1 << bits))
-                buf, spare = spare, buf
-        else:
+        if not in_block:
             for instr in run:
-                buf, spare = _apply_gate(buf, spare, instr.gate, instr.wires)
-    return buf, spare
+                flat, tile = _apply_gate(flat, tile, instr.gate, instr.wires)
+            continue
+        m = _fold(run, bits, low)
+        rows, diagonal = flat.reshape(-1, 1 << bits), np.diagonal(m)
+        if np.count_nonzero(m) == np.count_nonzero(diagonal):
+            np.multiply(rows, diagonal, out=rows)
+        else:
+            pieces = _pieces((len(rows),), tile.size >> bits)
+            flat, tile = _through(flat, tile, rows, pieces, lambda src, out: np.matmul(src, m.T, out=out))
+    return flat.reshape(buf.shape)
+
+
+def _adjoint(m):
+    """Replace the square matrix ``m`` by its conjugate transpose in place.
+
+    Diagonal tiles are conjugate-transposed where they lie, and each
+    (i, j)/(j, i) pair of tiles trades conjugate transposes, through one
+    square scratch of at most ``TILE`` entries: no second matrix.
+    """
+    d = len(m)
+    edge = min(d, 1 << (TILE.bit_length() - 1) // 2)
+    scratch = np.empty((edge, edge), dtype=m.dtype)
+    for i in range(0, d, edge):
+        for j in range(i, d, edge):
+            upper, lower = m[i : i + edge, j : j + edge], m[j : j + edge, i : i + edge]
+            np.conjugate(upper.T, out=scratch)
+            if i != j:
+                np.conjugate(lower.T, out=upper)
+            np.copyto(lower, scratch)
 
 
 def apply(circuit: Circuit, state: StateVector) -> StateVector:
@@ -245,8 +318,7 @@ def apply(circuit: Circuit, state: StateVector) -> StateVector:
             f"state has {state.num_qubits} qubits, circuit has {circuit.num_qubits}"
         )
     capacity.check("statevector", circuit.num_qubits)
-    buf = state.amplitudes.copy()
-    return adopt_state(_rows(circuit, buf, np.empty_like(buf))[0])
+    return adopt_state(_rows(circuit, state.amplitudes.copy()))
 
 
 def apply_density(circuit: Circuit, rho: DensityMatrix) -> DensityMatrix:
@@ -256,20 +328,18 @@ def apply_density(circuit: Circuit, rho: DensityMatrix) -> DensityMatrix:
             f"density matrix has {rho.num_qubits} qubits, circuit has {circuit.num_qubits}"
         )
     capacity.check("density", circuit.num_qubits)
-    buf, spare = rho.matrix.copy(), np.empty_like(rho.matrix)
+    buf = rho.matrix.copy()
     # U rho U† = (U (U rho)†)† for any rho, Hermitian or not.
     for _ in range(2):
-        buf, spare = _rows(circuit, buf, spare)
-        np.conjugate(buf.T, out=spare)
-        buf, spare = spare, buf
+        buf = _rows(circuit, buf)
+        _adjoint(buf)
     return adopt_density(buf)
 
 
 def unitary(circuit: Circuit) -> np.ndarray:
     """The circuit's 2**n x 2**n unitary, as the engine's U @ I."""
     capacity.check("unitary", circuit.num_qubits)
-    eye = np.eye(1 << circuit.num_qubits, dtype=np.complex128)
-    return _rows(circuit, eye, np.empty_like(eye))[0]
+    return _rows(circuit, np.eye(1 << circuit.num_qubits, dtype=np.complex128))
 
 
 def embed(gate: Gate, wires, num_qubits: int) -> np.ndarray:

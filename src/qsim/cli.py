@@ -14,6 +14,7 @@ byte-identical stdout.
 
 import argparse
 import json
+import re
 import sys
 
 import numpy as np
@@ -34,6 +35,22 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _integer(text: str) -> int:
+    """An ASCII decimal integer, as the qcf grammar reads one.
+
+    ``int()`` alone would also take Unicode digits, underscores and
+    surrounding whitespace. argparse turns the ValueError into a usage error.
+    """
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(text)
+    return int(text)
+
+
+_integer.__name__ = "int"  # argparse names the type in its message: "invalid int value"
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -44,8 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="execute a circuit file")
     run.add_argument("file", help="path to a .qcf circuit")
-    run.add_argument("--shots", type=int, default=1024, help="samples to draw (default 1024)")
-    run.add_argument("--seed", type=int, default=0, help="64-bit sampling seed (default 0)")
+    run.add_argument("--shots", type=_integer, default=1024, help="samples to draw (default 1024)")
+    run.add_argument("--seed", type=_integer, default=0, help="64-bit sampling seed (default 0)")
     run.add_argument(
         "--backend",
         choices=("statevector", "density"),
@@ -66,10 +83,10 @@ def build_parser() -> argparse.ArgumentParser:
     unitary_cmd.set_defaults(func=_cmd_unitary)
 
     grover = sub.add_parser("grover", help="run the search demonstrator")
-    grover.add_argument("qubits", type=int, help="number of qubits")
-    grover.add_argument("marked", type=int, help="marked basis index")
+    grover.add_argument("qubits", type=_integer, help="number of qubits")
+    grover.add_argument("marked", type=_integer, help="marked basis index")
     grover.add_argument(
-        "--iterations", type=int, default=None, help="loop count (default: optimal)"
+        "--iterations", type=_integer, default=None, help="loop count (default: optimal)"
     )
     grover.set_defaults(func=_cmd_grover)
 

@@ -158,10 +158,11 @@ class TestApplyDensity:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # rho and its spare, plus the first block of a cycle held in the spare
-        # while it is being used, and the ufunc's fixed buffer; block moves
-        # make no block-sized temporary.
-        assert peak <= 2.1 * 16 * 4**n
+        # The copy of rho, the engine's tile (1/8 of the matrix at 9 qubits),
+        # the adjoint's square scratch and the ufunc's fixed buffer: block
+        # moves make no block-sized temporary, and the conjugate transpose
+        # trades tiles in place.
+        assert peak <= 1.25 * 16 * 4**n
 
 
 class TestEmbed:
@@ -231,6 +232,20 @@ class TestUnitary:
         with pytest.raises(CapacityError):
             unitary(Circuit(13))
 
+    def test_peak_memory_is_one_matrix(self):
+        # The engine runs on the identity in place: the identity itself and
+        # the 512 KiB tile (1/32 of the matrix at 10 qubits).
+        n = 10
+        steps = [(gates.H, (0,)), (gates.H, (9,)), (gates.CNOT, (0, 9)), (gates.SWAP, (3, 8)), (gates.T, (5,))]
+        c = Circuit(n, [Instruction(gate, w) for gate, w in steps])
+        tracemalloc.start()
+        try:
+            unitary(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 16 * 4**n
+
 
 def random_unitary(rng, dim):
     q, r = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
@@ -275,6 +290,25 @@ class TestGateEngine:
         expected = u @ rho.matrix @ u.conj().T
         np.testing.assert_allclose(apply_density(c, rho).matrix, expected, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [5, 6])
+    @pytest.mark.parametrize("tile", [4, None])
+    def test_dense_gate_on_every_wire(self, n, tile, monkeypatch, rng, random_state):
+        # A dense gate on all n wires, from n = 5 on outside the trailing
+        # block, has blocks of one entry: its output blocks and a scratch
+        # block need a tile of two states.
+        if tile is not None:
+            monkeypatch.setattr(engine, "TILE", tile)
+        gate = gates.Gate("U", n, random_unitary(rng, 1 << n))
+        wires = tuple(int(w) for w in rng.permutation(n))
+        c = Circuit(n, [Instruction(gates.H, (1,)), Instruction(gate, wires), Instruction(gates.X, (0,))])
+        s = random_state(rng, n)
+        u = unitary_of(c)
+        np.testing.assert_allclose(apply(c, s).amplitudes, u @ s.amplitudes, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(unitary(c), u, rtol=0, atol=1e-12)
+        rho = to_density(s)
+        expected = u @ rho.matrix @ u.conj().T
+        np.testing.assert_allclose(apply_density(c, rho).matrix, expected, rtol=0, atol=1e-12)
+
     def test_gate_classes(self):
         dense = [label for label in gates.GATE_LABELS if gates.standard_gate(label).cycles is None]
         assert dense == ["H"]
@@ -286,10 +320,11 @@ class TestGateEngine:
         "gate, wires", [(gates.X, (10,)), (gates.SWAP, (2, 9)), (gates.CNOT, (12, 1))]
     )
     def test_block_moves_make_no_block_copy(self, gate, wires):
-        # Permutations move interleaved blocks of one buffer; a move is one
-        # ufunc call, which proves the views disjoint and copies through a
-        # fixed buffer of about 0.25 MiB. At 20 qubits that is about 1.5% of
-        # a state, so the peak is the input copy and its spare.
+        # Permutations move interleaved blocks of one buffer, one piece at a
+        # time; a move is one ufunc call, which proves the views disjoint and
+        # copies through a fixed buffer of about 0.25 MiB. At 20 qubits that
+        # and the 512 KiB tile are about 5% of a state, so the peak is the
+        # input copy.
         n = 20
         c = Circuit(n, [Instruction(gate, wires)])
         s = zero_state(n)
@@ -299,7 +334,7 @@ class TestGateEngine:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.1 * 16 * 2**n
+        assert peak <= 1.1 * 16 * 2**n
 
     def test_non_unitary_gate_rejected(self):
         with pytest.raises(NotUnitaryError):
@@ -381,17 +416,23 @@ class TestKernels:
         self.check(Circuit(self.N, [Instruction(gate, w) for gate, w in steps]), random_state(rng, self.N))
         assert runs == [[(5,), (6, 7), (4,)], [(7,)], [(6,), (4, 7)], [(4,)]]
 
-    def test_diagonal_runs_multiply_in_place(self, rng, random_state):
+    def test_diagonal_runs_multiply_in_place(self, monkeypatch, rng, random_state):
         # T Z S T folds to a diagonal, and so does X S X, a product of
-        # non-diagonal gates: neither makes a zgemm or swaps to the spare.
+        # non-diagonal gates: neither makes a zgemm, so a matmul is refused.
         steps = [(gates.T, 7), (gates.Z, 4), (gates.S, 6), (gates.T, 5)]
         diagonal = Circuit(self.N, [Instruction(gate, (w,)) for gate, w in steps])
         xsx = Circuit(self.N, [Instruction(gate, (6,)) for gate in (gates.X, gates.S, gates.X)])
         s = random_state(rng, self.N)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a diagonal fold ran a zgemm")
+
         for c in (diagonal, xsx):
             buf = s.amplitudes.copy()
-            assert engine._rows(c, buf, np.empty_like(buf))[0] is buf
-            self.check(c, s)
+            with monkeypatch.context() as patch:
+                patch.setattr(np, "matmul", refuse)
+                engine._rows(c, buf)
+            np.testing.assert_allclose(buf, unitary_of(c) @ s.amplitudes, rtol=0, atol=1e-12)
 
     def test_dense_one_qubit_gates_never_slice_blocks(self, monkeypatch, rng, random_state):
         def refuse(*args):
@@ -400,6 +441,74 @@ class TestKernels:
         monkeypatch.setattr(engine, "_blocks", refuse)
         instrs = [Instruction(gates.H, (w,)) for w in (0, 3, 5, 1, 7, 2, 4, 6)]
         self.check(Circuit(self.N, instrs), random_state(rng, self.N))
+
+    @staticmethod
+    def every_kernel(rng, n):
+        """Circuits on ``n`` qubits, one per kernel, with user dense gates of 1-3 qubits."""
+        def user(k):
+            return gates.Gate("U", k, random_unitary(rng, 1 << k))
+
+        steps = {
+            "fold": [(gates.H, (n - 3,)), (gates.CNOT, (n - 2, n - 1)), (gates.H, (n - 4,)), (gates.T, (n - 1,))],
+            "broadcast": [(gates.H, (w,)) for w in range(n - BLOCK_BITS)] + [(user(1), (0,)), (user(1), (n - 5,))],
+            "monomial": [(gates.X, (0,)), (gates.CNOT, (3, 1)), (gates.SWAP, (0, n - 1)), (gates.Y, (1,)), (gates.S, (2,))],
+            "dense2": [(user(2), (1, 3)), (user(2), (n - 3, 0)), (user(2), (2, n - 2))],
+            "dense3": [(user(3), (0, 2, 1)), (user(3), (3, n - 1, n - 4))],
+        }
+        return {name: Circuit(n, [Instruction(g, w) for g, w in run]) for name, run in steps.items()}
+
+    @pytest.mark.parametrize("tile", [4, 16, 64])
+    def test_every_kernel_in_pieces(self, tile, monkeypatch, rng, random_state):
+        # At 8 qubits a tile of 16 (4 is raised to a row of the fold) or 64
+        # entries cuts every kernel into several pieces: the fold into rows,
+        # the broadcast matmul along s (wires 0-1) and along outer (wires 2-3
+        # at 64), monomial cycles and dense 2- and 3-qubit blocks.
+        s = random_state(rng, self.N)
+        for name, c in self.every_kernel(rng, self.N).items():
+            whole = apply(c, s).amplitudes
+            counts = []
+            pieces = engine._pieces
+
+            def spy(shape, limit):
+                cut = pieces(shape, limit)
+                counts.append(len(cut))
+                return cut
+
+            with monkeypatch.context() as patch:
+                patch.setattr(engine, "TILE", tile)
+                patch.setattr(engine, "_pieces", spy)
+                out = apply(c, s).amplitudes
+            assert max(counts) > 1, name
+            np.testing.assert_allclose(out, unitary_of(c) @ s.amplitudes, rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(out, whole)
+
+    @pytest.mark.parametrize("tile", [4, 16, 64])
+    def test_unitary_and_density_in_pieces(self, tile, monkeypatch, rng, random_state):
+        # At 6 qubits the matrices hold 4096 entries: the row passes run in
+        # pieces, and apply_density's adjoint in square tiles of edge 2, 4
+        # and 8, far smaller than the 64 x 64 matrix.
+        n = 6
+        c = Circuit(n, [instr for run in self.every_kernel(rng, n).values() for instr in run.instructions])
+        rho = to_density(random_state(rng, n))
+        whole = unitary(c), apply_density(c, rho).matrix
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "TILE", tile)
+            u, out = unitary(c), apply_density(c, rho).matrix
+        expected = unitary_of(c)
+        np.testing.assert_allclose(u, expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out, expected @ rho.matrix @ expected.conj().T, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(u, whole[0])
+        np.testing.assert_array_equal(out, whole[1])
+
+    def test_large_state_in_pieces_matches_one_piece(self, monkeypatch, rng, random_state):
+        # At 18 qubits the default tile cuts every kernel; a tile as large as
+        # the state runs each in one piece, with the same result to the bit.
+        n = 18
+        c = Circuit(n, [instr for run in self.every_kernel(rng, n).values() for instr in run.instructions])
+        s = random_state(rng, n)
+        out = apply(c, s).amplitudes
+        monkeypatch.setattr(engine, "TILE", 1 << n)
+        np.testing.assert_array_equal(out, apply(c, s).amplitudes)
 
     @pytest.mark.parametrize("n", range(1, BLOCK_BITS + 1))
     def test_circuits_no_wider_than_the_block(self, n, rng, random_circuit, random_state):
@@ -418,10 +527,12 @@ class TestKernels:
             np.testing.assert_allclose(apply_density(c, rho).matrix, expected, rtol=0, atol=1e-12)
 
     def test_peak_memory_is_two_states(self):
-        # The block zgemm and the broadcast matmul write through ``out=``: the
-        # copy of the input and its spare are the only state-sized allocations.
-        n = 16
-        steps = [(gates.H, 0), (gates.H, 8), (gates.S, 12), (gates.Y, 13), (gates.H, 15)]
+        # Every kernel works in place through one tile of ``TILE`` entries:
+        # the copy of the input is the only state-sized allocation. At 20
+        # qubits the tile is 1/32 of a state (at 16 it would be half of one),
+        # and wires 16-19 form the trailing block.
+        n = 20
+        steps = [(gates.H, 0), (gates.H, 8), (gates.S, 16), (gates.Y, 17), (gates.H, 19)]
         c = Circuit(n, [Instruction(gate, (w,)) for gate, w in steps])
         s = zero_state(n)
         tracemalloc.start()
@@ -430,4 +541,20 @@ class TestKernels:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.1 * 16 * 2**n
+        assert peak <= 1.1 * 16 * 2**n
+
+    @pytest.mark.parametrize("n", [14, 16, 17])
+    def test_peak_memory_is_a_state_and_a_tile(self, n):
+        # Where the tile is a large share of the state, the peak is the copy
+        # of the input plus the tile: two states at 14 qubits, where the tile
+        # is as large as the state, 1.5 at 16 and 1.25 at 17.
+        steps = [(gates.H, 0), (gates.H, n // 2), (gates.S, n - 4), (gates.Y, n - 3), (gates.H, n - 1)]
+        c = Circuit(n, [Instruction(gate, (w,)) for gate, w in steps])
+        s = zero_state(n)
+        tracemalloc.start()
+        try:
+            apply(c, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (1.1 + min(engine.TILE, 2**n) / 2**n) * 16 * 2**n

@@ -360,6 +360,23 @@ class TestValidate:
         assert "UnknownGate" in err
 
 
+@pytest.mark.parametrize("value", ["١٢", "1_0", " 7"])
+def test_integers_are_ascii_digits_only(capsys, bell_file, value):
+    # int() also takes Unicode digits, underscores and surrounding blanks;
+    # the qcf grammar takes ASCII digits only, and so does every CLI integer.
+    for argv in (
+        ["run", bell_file, "--shots", value],
+        ["run", bell_file, "--seed", value],
+        ["grover", value, "0"],
+        ["grover", "4", value],
+        ["grover", "2", "0", "--iterations", value],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert f"invalid int value: '{value}'" in err
+    assert run_cli(capsys, "run", bell_file, "--shots", "+12", "--seed", "-0")[0] == 0
+
+
 def test_no_subcommand_is_usage_error(capsys):
     assert main([]) == 2
 

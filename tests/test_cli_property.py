@@ -25,7 +25,8 @@ _QCF = st.one_of(
     ),
 )
 
-# Words argparse's int() refuses, and Unicode digits (3 and 12), which it takes.
+# Words that are no integer, and Unicode digits (3 and 12), which int() takes
+# but the CLI refuses, as the qcf grammar does.
 _NON_NUMBERS = st.sampled_from(("", "x", "1e3", "0x10", "nan", "--", "٣", "१२"))
 
 
@@ -88,3 +89,5 @@ def test_exit_code_is_0_2_or_3_and_nothing_raises(workdir, data, text):
         else:
             os.environ[capacity.ENV_OVERRIDE] = saved
     assert code in (0, 2, 3), (argv, err.getvalue())
+    if any(ch.isdigit() and not ch.isascii() for arg in argv for ch in arg):
+        assert code == 2, (argv, err.getvalue())

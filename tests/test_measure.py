@@ -296,6 +296,19 @@ class TestSample:
         with pytest.raises(CapacityError, match=f"at most 24 qubits, got {n}"):
             sample(Circuit(n), 1, 0)
 
+    def test_peak_memory_is_two_and_a_half_states(self):
+        # |0...0>, the output state and the half-state probabilities: the
+        # engine allocates nothing state-sized besides its output.
+        n = 20
+        c = Circuit(n, [Instruction(gates.H, (w,)) for w in range(n)])
+        tracemalloc.start()
+        try:
+            sample(c, 100, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.6 * 16 * 2**n
+
     def test_total_equals_shots(self):
         hist = sample(bell_circuit(), 999, 5)
         assert sum(hist.counts.values()) == 999
