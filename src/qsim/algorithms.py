@@ -21,7 +21,7 @@ from . import capacity
 from .circuit import Circuit, Instruction
 from .errors import DimensionMismatchError, QsimError
 from .gates import CNOT, H
-from .qstate import StateVector
+from .qstate import StateVector, adopt_state
 
 
 def bell_circuit() -> Circuit:
@@ -82,7 +82,7 @@ def grover_run(spec: GroverSpec) -> GroverResult:
     for amps in _search(spec):
         pass
     return GroverResult(
-        final_state=StateVector(amps), success_probability=float(abs(amps[spec.marked]) ** 2)
+        final_state=adopt_state(amps), success_probability=float(abs(amps[spec.marked]) ** 2)
     )
 
 

@@ -6,14 +6,14 @@ Subcommands:
     grover N MARKED run the search demonstrator
     validate FILE   check that a file parses
 
-Data goes to stdout, diagnostics to stderr. Exit codes: 0 success,
+Data goes to stdout, diagnostics to stderr; ``run`` prints through the
+``render`` of its result in :mod:`qsim.measure`. Exit codes: 0 success,
 2 parse/usage error, 3 capacity/runtime error, running out of memory
 included. Identical invocations (same flags, same seed) produce
-byte-identical stdout.
+byte-identical stdout, from 16 qubits up for a fixed BLAS thread count.
 """
 
 import argparse
-import json
 import re
 import sys
 
@@ -107,28 +107,7 @@ def _format_density(circuit: Circuit, fmt: str) -> str:
     # Checked before |0...0><0...0| is built: over the cap, that alone can exhaust memory.
     capacity.check("density", circuit.num_qubits)
     rho = apply_density(circuit, to_density(zero_state(circuit.num_qubits)))
-    dist = measure.probabilities_density(rho)
-    labels = dist.labels()
-    probs = dist.probabilities
-    if fmt == "text":
-        return "".join(f"{label} {_entry(float(p), 9):.9f}\n" for label, p in zip(labels, probs))
-    # Adding 0.0 turns an IEEE -0.0 into 0.0 and leaves every other value as it is.
-    values = (probs + 0.0).tolist()
-    if fmt == "json":
-        payload = {"num_qubits": dist.num_qubits, "probabilities": dict(zip(labels, values))}
-        return json.dumps(payload, indent=2) + "\n"
-    return "".join(f"{label},{p!r}\n" for label, p in zip(labels, values))
-
-
-def _format_histogram(hist: measure.ShotHistogram, fmt: str) -> str:
-    if fmt == "json":
-        return hist.to_json()
-    if fmt == "csv":
-        return hist.to_csv()
-    width = max(len(str(c)) for c in hist.counts.values())
-    return "".join(
-        f"{label} {hist.counts[label]:>{width}}\n" for label in sorted(hist.counts)
-    )
+    return measure.probabilities_density(rho).render(fmt)
 
 
 def _cmd_run(args, out, err) -> int:
@@ -142,22 +121,15 @@ def _cmd_run(args, out, err) -> int:
     if args.backend == "density":
         out.write(_format_density(circuit, args.format))
     else:
-        hist = measure.sample(circuit, args.shots, args.seed)
-        out.write(_format_histogram(hist, args.format))
+        out.write(measure.sample(circuit, args.shots, args.seed).render(args.format))
     return EXIT_OK
-
-
-def _entry(value: float, digits: int) -> float:
-    # Round to the printed precision first so values that print as zero
-    # (including IEEE -0.0) cannot surface as "-0.000000".
-    return round(value, digits) + 0.0
 
 
 def _cmd_unitary(args, out, err) -> int:
     u = unitary(_load_circuit(args.file))
     row_format = " ".join(["%.6f%+.6fi"] * len(u)) + "\n"
-    # The real and imaginary parts of a row, interleaved, rounded by numpy as
-    # _entry rounds an np.float64: one vector pass and one format per row.
+    # The real and imaginary parts of a row, interleaved, rounded as round()
+    # rounds an np.float64, -0.0 cleared: one vector pass, one format per row.
     for parts in u.view(np.float64):
         out.write(row_format % tuple((np.round(parts, 6) + 0.0).tolist()))
     return EXIT_OK

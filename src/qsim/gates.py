@@ -18,7 +18,6 @@ import numpy as np
 
 from . import numerics
 from .errors import ArityError, NotUnitaryError, UnknownGateError
-from .qstate import StateVector
 
 
 def _cycles(m: np.ndarray):
@@ -131,13 +130,3 @@ def standard_gate(label: str) -> Gate:
         )
     return gate
 
-
-def apply_two_qubit_truth_table(gate: Gate, basis_label: str) -> StateVector:
-    """Apply a two-qubit gate to a computational basis ket given as two bits."""
-    if gate.arity != 2:
-        raise ArityError(f"gate {gate.label!r} has arity {gate.arity}, expected 2")
-    if len(basis_label) != 2 or any(ch not in "01" for ch in basis_label):
-        raise ValueError(f"basis label must be two bits, got {basis_label!r}")
-    vec = np.zeros(4, dtype=np.complex128)
-    vec[int(basis_label, 2)] = 1.0
-    return StateVector(gate.matrix @ vec)

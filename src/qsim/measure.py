@@ -14,6 +14,9 @@ order. Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as
 1, 2, 3", SC'11) is a pure function of counter and key, so :func:`sample`
 computes it in numpy for a chunk of shots at a time, bit-identical to
 ``np.random.Generator(np.random.Philox(key=[seed, i])).random()``.
+
+``qsim run`` prints a :class:`ShotHistogram` or an :class:`OutcomeDistribution`
+in json, csv or text, each through ``render`` and the one writer :func:`_render`.
 """
 
 import csv
@@ -76,6 +79,16 @@ class OutcomeDistribution:
     def labels(self) -> list[str]:
         return [bitstring(k, self.num_qubits) for k in range(self.probabilities.size)]
 
+    def render(self, fmt: str) -> str:
+        """The distribution as ``qsim run --backend density`` prints it.
+
+        Adding 0.0 turns an IEEE -0.0 into 0.0. Text rounds to its 9 digits
+        first, so roundoff such as -1e-18 cannot print as "-0.000000000".
+        """
+        rows = dict(zip(self.labels(), (self.probabilities + 0.0).tolist()))
+        header = {"num_qubits": self.num_qubits}
+        return _render(fmt, header, "probabilities", rows, lambda p: f"{round(p, 9) + 0.0:.9f}")
+
 
 @dataclass(frozen=True)
 class MeasurementRecord:
@@ -97,20 +110,34 @@ class ShotHistogram:
         if sum(self.counts.values()) != self.shots:
             raise ProbabilityError("histogram counts must sum to the shot total")
 
+    def render(self, fmt: str) -> str:
+        """The histogram as ``qsim run`` prints it, in label order."""
+        rows = {k: self.counts[k] for k in sorted(self.counts)}
+        return _render(fmt, {"shots": self.shots, "seed": self.seed}, "counts", rows)
+
     def to_json(self) -> str:
-        payload = {
-            "shots": self.shots,
-            "seed": self.seed,
-            "counts": {k: self.counts[k] for k in sorted(self.counts)},
-        }
-        return json.dumps(payload, indent=2) + "\n"
+        return self.render("json")
 
     def to_csv(self) -> str:
+        return self.render("csv")
+
+
+def _render(fmt: str, header: dict, key: str, rows: dict, cell=str) -> str:
+    """``rows``, a {label: value} dict, as "json", "csv" or "text".
+
+    json: ``header``, then ``rows`` under ``key``, indented by 2. csv: one
+    ``label,value`` line per row, by ``csv.writer`` (a float as its repr).
+    text: one ``label cell`` line per row, cells right-aligned to the widest.
+    """
+    if fmt == "json":
+        return json.dumps({**header, key: rows}, indent=2) + "\n"
+    if fmt == "csv":
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        for label in sorted(self.counts):
-            writer.writerow([label, self.counts[label]])
+        csv.writer(buf, lineterminator="\n").writerows(rows.items())
         return buf.getvalue()
+    cells = [cell(value) for value in rows.values()]
+    width = max(map(len, cells), default=0)
+    return "".join(f"{label} {text:>{width}}\n" for label, text in zip(rows, cells))
 
 
 def probabilities(state: StateVector) -> OutcomeDistribution:

@@ -3,10 +3,11 @@
 Matrices are plain ``numpy.ndarray`` values in complex128, row-major, and
 treated as immutable by every routine here (inputs are never written to,
 outputs are fresh arrays). The module provides the handful of primitives
-the rest of the package is built on: products, Kronecker products,
-adjoints, unitarity/Hermiticity predicates, a cyclic-Jacobi Hermitian
-eigensolver (the tests' reference), and the spectral matrix exponential
-exp(-i*H*theta).
+the rest of the package is built on: coercion to a checked matrix,
+unitarity/Hermiticity predicates, a cyclic-Jacobi Hermitian eigensolver
+(the tests' reference), and the spectral matrix exponential
+exp(-i*H*theta). The tests' brute-force products, Kronecker products and
+adjoints live in ``tests/oracles.py``.
 
 Comparisons use absolute max-norm with a default tolerance of 1e-10,
 overridable per call.
@@ -21,7 +22,6 @@ from .errors import (
     DimensionMismatchError,
     NotHermitianError,
     NotSquareError,
-    CapacityError,
 )
 
 DEFAULT_TOL = 1e-10
@@ -29,8 +29,6 @@ DEFAULT_TOL = 1e-10
 # Jacobi sweep budget and off-diagonal Frobenius target.
 JACOBI_MAX_SWEEPS = 100
 JACOBI_OFF_TOL = 1e-12
-
-KRON_MAX_DIM = 1 << 24
 
 
 def as_matrix(a) -> np.ndarray:
@@ -48,37 +46,6 @@ def _square(a) -> np.ndarray:
     if m.shape[0] != m.shape[1]:
         raise NotSquareError(f"expected a square matrix, got shape {m.shape}")
     return m
-
-
-def identity(dim: int) -> np.ndarray:
-    return np.eye(dim, dtype=np.complex128)
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with an explicit shape check."""
-    am, bm = as_matrix(a), as_matrix(b)
-    if am.shape[1] != bm.shape[0]:
-        raise DimensionMismatchError(
-            f"cannot multiply {am.shape} by {bm.shape}: inner dimensions differ"
-        )
-    return am @ bm
-
-
-def kron(a, b, *, max_dim: int = KRON_MAX_DIM) -> np.ndarray:
-    """Kronecker product; block (i, j) of the result is a[i, j] * b."""
-    am, bm = as_matrix(a), as_matrix(b)
-    rows = am.shape[0] * bm.shape[0]
-    cols = am.shape[1] * bm.shape[1]
-    if max(rows, cols) > max_dim:
-        raise CapacityError(
-            f"kron result {rows}x{cols} exceeds the configured maximum {max_dim}"
-        )
-    return np.kron(am, bm)
-
-
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(a).conj().T.copy()
 
 
 def max_abs(a) -> float:

@@ -115,8 +115,9 @@ def _adopt(cls, field: str, array: np.ndarray):
 def adopt_state(amps: np.ndarray) -> StateVector:
     """Wrap a flat complex128 array as a state vector without validating it.
 
-    For the gate engine only: its output is a valid state moved by unitary
-    gates, so checking the norm again would cost a pass over 2**n values
+    For arrays that are valid states by construction: a basis vector, or a
+    valid state moved by unitary steps (the gate engine, Grover's loop).
+    Checking the norm again would cost a copy and a pass over 2**n values
     and find roundoff. The array is taken over and made read-only.
     """
     return _adopt(StateVector, "amplitudes", amps)
@@ -156,7 +157,7 @@ def basis_state(num_qubits: int, index: int) -> StateVector:
         raise DimensionMismatchError(f"basis index {index} out of range for {num_qubits} qubits")
     amps = np.zeros(dim, dtype=np.complex128)
     amps[index] = 1.0
-    return StateVector(amps)
+    return adopt_state(amps)
 
 
 def zero_state(num_qubits: int) -> StateVector:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import make_random_circuit, make_random_state
+from oracles import apply_two_qubit_truth_table
 from qsim import gates, qcf
 from qsim.algorithms import (
     GroverSpec,
@@ -67,7 +68,7 @@ def test_criterion_1_gate_truth_tables():
     for label, cases in TWO_QUBIT_ACTIONS.items():
         gate = gates.standard_gate(label)
         for ket, expected in cases.items():
-            out = gates.apply_two_qubit_truth_table(gate, ket).amplitudes
+            out = apply_two_qubit_truth_table(gate, ket).amplitudes
             target = np.zeros(4, dtype=complex)
             target[int(expected, 2)] = 1.0
             assert np.max(np.abs(out - target)) <= 1e-12, f"{label}|{ket}>"

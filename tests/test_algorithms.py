@@ -90,6 +90,17 @@ class TestGroverRun:
             tracemalloc.stop()
         assert peak < 64 * 2**10
 
+    def test_peak_memory_is_one_state(self):
+        # The final state adopts the loop's array: no validating copy.
+        n = 16
+        tracemalloc.start()
+        try:
+            grover_run(GroverSpec(n, 5, 3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 16 * 2**n
+
     def test_final_state_matches_trajectory(self):
         spec = GroverSpec(4, 7, 3)
         assert grover_run(spec).success_probability == pytest.approx(

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracles import kron
 from qsim import circuit as engine
 from qsim import gates
 from qsim.circuit import (
@@ -24,7 +25,7 @@ from qsim.errors import (
     NotUnitaryError,
     WireOutOfRangeError,
 )
-from qsim.numerics import is_unitary, kron
+from qsim.numerics import is_unitary
 from qsim.qstate import DensityMatrix, basis_state, inner_product, to_density, zero_state
 
 SQRT2_INV = 1.0 / np.sqrt(2.0)

@@ -191,6 +191,68 @@ class TestRun:
         assert err == "error: out of memory\n"
 
 
+# Exact stdout of ``qsim run``: the tests above parse it, these pin its layout.
+BELL_SHOTS_10_SEED_7 = {
+    "text": "00 5\n11 5\n",
+    "csv": "00,5\n11,5\n",
+    "json": '{\n  "shots": 10,\n  "seed": 7,\n  "counts": {\n    "00": 5,\n    "11": 5\n  }\n}\n',
+}
+# H on wire 0 and Z on wire 1 of |000>: exact zeros, four of them -0.0 in the engine.
+DENSITY_ZEROS_TEXT = "qubits 3\nh 0\nz 1\n"
+DENSITY_ZEROS = {
+    "text": (
+        "000 0.500000000\n001 0.000000000\n010 0.000000000\n011 0.000000000\n"
+        "100 0.500000000\n101 0.000000000\n110 0.000000000\n111 0.000000000\n"
+    ),
+    "csv": (
+        "000,0.4999999999999999\n001,0.0\n010,0.0\n011,0.0\n"
+        "100,0.4999999999999999\n101,0.0\n110,0.0\n111,0.0\n"
+    ),
+    "json": (
+        '{\n  "num_qubits": 3,\n  "probabilities": {\n'
+        '    "000": 0.4999999999999999,\n    "001": 0.0,\n    "010": 0.0,\n    "011": 0.0,\n'
+        '    "100": 0.4999999999999999,\n    "101": 0.0,\n    "110": 0.0,\n    "111": 0.0\n'
+        "  }\n}\n"
+    ),
+}
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_histogram(self, capsys, bell_file, fmt):
+        argv = ("run", bell_file, "--shots", "10", "--seed", "7", "--format", fmt)
+        assert run_cli(capsys, *argv) == (0, BELL_SHOTS_10_SEED_7[fmt], "")
+
+    def test_histogram_text_right_aligns_counts(self, capsys, tmp_path):
+        path = tmp_path / "hh.qcf"
+        path.write_text("qubits 2\nh 0\nh 1\n")
+        argv = ("run", str(path), "--shots", "30", "--seed", "1")
+        assert run_cli(capsys, *argv) == (0, "00  4\n01  6\n10  7\n11 13\n", "")
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_density(self, capsys, tmp_path, fmt):
+        path = tmp_path / "zeros.qcf"
+        path.write_text(DENSITY_ZEROS_TEXT)
+        argv = ("run", str(path), "--backend", "density", "--format", fmt)
+        assert run_cli(capsys, *argv) == (0, DENSITY_ZEROS[fmt], "")
+
+    def test_hand_built_histogram(self):
+        # Counts of 1 to 4 digits, and labels that csv.writer must quote.
+        hist = measure.ShotHistogram(
+            counts={"11": 7, "00": 1000, "0,1": 42, 'a"b': 1}, shots=1050, seed=2**64 - 1
+        )
+        assert hist.to_json() == (
+            '{\n  "shots": 1050,\n  "seed": 18446744073709551615,\n  "counts": {\n'
+            '    "0,1": 42,\n    "00": 1000,\n    "11": 7,\n    "a\\"b": 1\n  }\n}\n'
+        )
+        assert hist.to_csv() == '"0,1",42\n00,1000\n11,7\n"a""b",1\n'
+
+    def test_empty_histogram(self):
+        hist = measure.ShotHistogram(counts={}, shots=0, seed=3)
+        assert hist.to_json() == '{\n  "shots": 0,\n  "seed": 3,\n  "counts": {}\n}\n'
+        assert hist.to_csv() == ""
+
+
 class TestUnitary:
     def test_identity_rows(self, capsys, tmp_path):
         path = tmp_path / "id.qcf"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import adjoint, identity, kron, matmul
 from qsim import gates
 from qsim.errors import (
     CapacityError,
@@ -9,16 +10,7 @@ from qsim.errors import (
     NotHermitianError,
     NotSquareError,
 )
-from qsim.numerics import (
-    adjoint,
-    eig_hermitian,
-    identity,
-    is_hermitian,
-    is_unitary,
-    kron,
-    matexp_skew_hermitian,
-    matmul,
-)
+from qsim.numerics import eig_hermitian, is_hermitian, is_unitary, matexp_skew_hermitian
 
 I2 = identity(2)
 X = gates.X.matrix

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,18 @@ def test_basis_and_zero_states():
     np.testing.assert_array_equal(zero_state(3).amplitudes, np.eye(8)[0])
     with pytest.raises(DimensionMismatchError):
         basis_state(1, 2)
+
+
+def test_zero_state_peak_memory_is_one_state():
+    # The fresh array is the state: no validating copy, no norm temporary.
+    n = 20
+    tracemalloc.start()
+    try:
+        zero_state(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 16 * 2**n
 
 
 class TestInnerProduct:
