@@ -4,31 +4,33 @@ A circuit is a qubit count plus an ordered list of instructions, each a
 gate bound to distinct wires (for CNOT, wires[0] is the control).
 
 One gate engine replaces M by U @ M in place, acting on the row bits of M
-only: O(size of M) per gate, no 2**n x 2**n gate matrix, and no second
+only: O(size of M) per pass, no 2**n x 2**n gate matrix, and no second
 M-sized buffer. Its one scratch is a tile of ``TILE`` entries; each kernel
 works one piece of at most a tile at a time. An M no larger than the tile
 is one piece, and where a kernel below copies a piece back from the tile,
-M and the tile trade places instead. :func:`_rows` picks one of three
-kernels from the gate's wires and the size of M alone:
+M and the tile trade places instead. :func:`_schedule` makes the passes:
+an instruction moves back past passes on other wires, which commute with
+it, and joins the latest one it fits, a run for kernel 1 or a monomial run
+above it on at most ``FOLD_WIRES`` wires (fewer on a small M), or is alone.
 
-1. Fused trailing block. Each maximal run of consecutive instructions whose
-   wires all lie in the last ``BLOCK_BITS`` bits of M is folded into one
-   2**BLOCK_BITS-square matrix, by running the engine on the identity, and
-   applied as one zgemm per tile of M's rows, viewed as (rows,
-   2**BLOCK_BITS), into the tile and copied back. There a strided view
-   would give numpy one inner loop per 2-16 entries. A diagonal fold (a run
-   of Z, S and T, say) multiplies M by its diagonal in place instead: one
-   pass, no zgemm and no copy.
-2. Broadcast matmul. A dense 1-qubit gate (H, user gates) on any other
-   wire, whose inner stride s is then at least 2**BLOCK_BITS, is one
+1. Fused trailing block. A run on the last ``BLOCK_BITS`` bits of M is
+   folded into one 2**BLOCK_BITS-square matrix, by running the engine on
+   the identity, and applied as one zgemm per tile of M's rows, viewed as
+   (rows, 2**BLOCK_BITS), into the tile and copied back. There a strided
+   view would give numpy one inner loop per 2-16 entries. A diagonal fold
+   multiplies M in place instead.
+2. Broadcast matmul. A lone dense 1-qubit gate (H, user gates) on any
+   other wire, whose inner stride s is then at least 2**BLOCK_BITS, is one
    (2, 2) @ (outer, 2, s) matmul per piece, split along outer, or along s
    when one outer slice outgrows the tile, into the tile and copied back.
-3. Block loop. A monomial gate (diagonal, permutation, phase-permutation)
+3. Block loop. A monomial map (diagonal, permutation, phase-permutation)
    re-phases or moves each block one piece at a time: every move is one
    ``np.multiply(phase, src, out=dst)``, phase 1 included. numpy proves the
    interleaved views of one buffer disjoint and makes no copy; only the
-   first block's piece of a cycle is held in the tile. A dense gate on two
-   or more wires writes the output blocks of each piece into the tile and
+   first block's piece of a cycle is held in the tile. The map is a lone
+   gate's or a run's, composed into one source index and phase per block;
+   a diagonal run is one broadcast multiply. A lone dense gate on two or
+   more wires writes the output blocks of each piece into the tile and
    copies them back.
 
 :func:`apply` runs the engine on a copy of a state vector, :func:`unitary`
@@ -56,7 +58,7 @@ from .errors import (
     DuplicateWireError,
     WireOutOfRangeError,
 )
-from .gates import Gate
+from .gates import Gate, _cycles, _monomial
 from .qstate import DensityMatrix, StateVector, adopt_density, adopt_state
 
 # Trailing bits whose gates are fused into one zgemm (kernel 1). From a
@@ -73,6 +75,12 @@ BLOCK_BITS = 4
 # fastest and within run-to-run noise of each other; 2**12 and from 2**16 up
 # were 6-26 % slower than 2**15.
 TILE = 1 << 15
+
+# Most wires a monomial fold may span, and the fewest bits each of its blocks
+# keeps: on smaller ones numpy's per-call work costs more than the passes
+# saved. From a sweep of 0-8 wires and 8-14 bits, recorded in CHANGES.md.
+FOLD_WIRES = 6
+FOLD_BLOCK_BITS = 12
 
 
 class Instruction:
@@ -199,18 +207,29 @@ def _through(buf, tile, view, pieces, write):
     return buf, tile
 
 
+def _move(buf, tile, cycles, wires) -> None:
+    """Run the ``cycles`` of :func:`gates._cycles` on ``wires`` of the flat ``buf`` in place (kernel 3)."""
+    blocks = _blocks(buf, wires)
+    bits = list(itertools.product((0, 1), repeat=len(wires)))
+    pieces = _pieces(blocks.shape[len(wires) :], tile.size)
+    for cycle in cycles:
+        for p in pieces:
+            rows = [blocks[bits[r] + p] for r, _ in cycle]
+            held = rows[0]
+            if len(rows) > 1:
+                held = tile[: held.size].reshape(held.shape)
+                np.copyto(held, rows[0])
+            for dst, src, (_, phase) in zip(rows, rows[1:] + [held], cycle):
+                np.multiply(phase, src, out=dst)
+
+
 def _apply_gate(buf, tile, gate: Gate, wires):
     """Apply ``gate`` to ``wires`` of the flat ``buf`` (kernels 2 and 3 of the module docstring).
 
-    ``tile`` is scratch of at least 2**(arity + 1) entries, and the work goes
-    one piece of at most ``tile.size`` entries at a time. A dense 1-qubit
-    gate is one broadcast matmul per piece. A monomial gate moves the blocks
-    of each cycle along in place, the tile holding the first one's piece;
-    every move or re-phase, by phase 1 too, is one ``np.multiply`` into the
-    destination, with no temporary. A wider dense gate writes the output
-    blocks of a piece next to one scratch block; row r is g[r,0]*b0 +
-    g[r,1]*b1 + ..., summed left to right. Returns the (buffer, tile) pair
-    of :func:`_through`.
+    ``tile`` is scratch of at least 2**(arity + 1) entries. A wider dense
+    gate writes the output blocks of a piece next to one scratch block; row
+    r is g[r,0]*b0 + g[r,1]*b1 + ..., summed left to right. Returns the
+    (buffer, tile) pair of :func:`_through`.
     """
     m = gate.arity
     if gate.cycles is None and m == 1:
@@ -219,20 +238,11 @@ def _apply_gate(buf, tile, gate: Gate, wires):
         cuts = _pieces(pairs.shape[::2], tile.size >> 1)
         pieces = [p[:1] + (slice(None),) + p[1:] for p in cuts]
         return _through(buf, tile, pairs, pieces, lambda src, out: np.matmul(gate.matrix, src, out=out))
+    if gate.cycles is not None:
+        _move(buf, tile, gate.cycles, wires)
+        return buf, tile
     blocks = _blocks(buf, wires)
     bits = list(itertools.product((0, 1), repeat=m))
-    if gate.cycles is not None:
-        pieces = _pieces(blocks.shape[m:], tile.size)
-        for cycle in gate.cycles:
-            for p in pieces:
-                rows = [blocks[bits[r] + p] for r, _ in cycle]
-                held = rows[0]
-                if len(rows) > 1:
-                    held = tile[: held.size].reshape(held.shape)
-                    np.copyto(held, rows[0])
-                for dst, src, (_, phase) in zip(rows, rows[1:] + [held], cycle):
-                    np.multiply(phase, src, out=dst)
-        return buf, tile
 
     def dense(src, out):
         ins, outs = [src[b] for b in bits], out.reshape((len(bits),) + src.shape[m:])
@@ -258,18 +268,51 @@ def _fold(run, bits: int, shift: int) -> np.ndarray:
     return m.reshape(1 << bits, 1 << bits)
 
 
-def _rows(circuit: Circuit, buf):
-    """U @ buf: the circuit on the row bits of ``buf``, worked in place through one tile.
+def _apply_fold(buf, tile, run, wires) -> None:
+    """Apply a monomial ``run`` on the sorted ``wires`` of the flat ``buf`` in one pass (kernel 3's fold)."""
+    source, phase = np.arange(1 << len(wires)), np.ones(1 << len(wires), dtype=np.complex128)
+    for instr in run:
+        gate_source, gate_phase = _monomial(instr.gate.matrix)
+        # at[r]: the entries whose bits on the gate's wires read r.
+        at = _blocks(np.arange(len(source)), [wires.index(w) for w in instr.wires]).reshape(len(gate_source), -1)
+        source[at], phase[at] = source[at[gate_source]], gate_phase[:, None] * phase[at[gate_source]]
+    if np.array_equal(source, np.arange(len(source))):
+        blocks = _blocks(buf, wires)
+        np.multiply(blocks, phase.reshape((2,) * len(wires) + (1,) * (blocks.ndim - len(wires))), out=blocks)
+    else:
+        _move(buf, tile, _cycles(source, phase), wires)
 
-    Each maximal run of instructions on the trailing ``BLOCK_BITS`` bits of
-    ``buf`` is folded into one small matrix and applied over ``buf`` viewed
-    as (rows, 2**bits): as one multiply in place when that matrix is
-    diagonal, else as one zgemm per piece of rows through the tile. Every
-    other instruction goes to :func:`_apply_gate`. The tile holds
-    ``min(TILE, buf.size)`` entries, raised to a row of the fold and two
-    entries per block of the widest gate should that be smaller. Where one
-    piece is all of ``buf``, ``buf`` and the tile trade places instead of
-    copying back, so the result is ``buf`` or the tile, shaped like ``buf``.
+
+def _schedule(instructions, low: int, width: int) -> list:
+    """The passes of the module docstring, as [kind, wires, run] lists.
+
+    A "block" run lies from wire ``low`` on, a "fold" run below it on at
+    most ``width`` wires, and an instruction of kind None runs alone.
+    """
+    items = []
+    for instr in instructions:
+        ws = set(instr.wires)
+        fold = max(ws) < low and len(ws) <= width and instr.gate.cycles is not None
+        kind = "block" if min(ws) >= low else "fold" if fold else None
+        target = None
+        for item in reversed(items if kind else ()):
+            if item[0] == kind and (kind == "block" or len(item[1] | ws) <= width):
+                target = item
+            if target or not item[1].isdisjoint(ws):
+                break
+        if target is None:
+            items.append(target := [kind, set(), []])
+        target[1] |= ws
+        target[2].append(instr)
+    return items
+
+
+def _rows(circuit: Circuit, buf):
+    """U @ buf: the circuit on the row bits of ``buf``, one pass per item of :func:`_schedule`.
+
+    The tile holds ``min(TILE, buf.size)`` entries, raised to a row of the
+    fold and two entries per block of the widest gate should that be
+    smaller. The result is ``buf`` or the tile, shaped like ``buf``.
     """
     flat = buf.reshape(-1)
     nbits = flat.size.bit_length() - 1
@@ -277,18 +320,19 @@ def _rows(circuit: Circuit, buf):
     low = nbits - bits
     widest = max([bits] + [instr.gate.arity + 1 for instr in circuit.instructions])
     tile = np.empty(max(min(TILE, flat.size), 1 << widest), dtype=flat.dtype)
-    for in_block, run in itertools.groupby(circuit.instructions, lambda i: min(i.wires) >= low):
-        if not in_block:
-            for instr in run:
-                flat, tile = _apply_gate(flat, tile, instr.gate, instr.wires)
-            continue
-        m = _fold(run, bits, low)
-        rows, diagonal = flat.reshape(-1, 1 << bits), np.diagonal(m)
-        if np.count_nonzero(m) == np.count_nonzero(diagonal):
-            np.multiply(rows, diagonal, out=rows)
+    for kind, wires, run in _schedule(circuit.instructions, low, min(FOLD_WIRES, nbits - FOLD_BLOCK_BITS)):
+        if kind == "block":
+            m = _fold(run, bits, low)
+            rows, diagonal = flat.reshape(-1, 1 << bits), np.diagonal(m)
+            if np.count_nonzero(m) == np.count_nonzero(diagonal):
+                np.multiply(rows, diagonal, out=rows)
+            else:
+                pieces = _pieces((len(rows),), tile.size >> bits)
+                flat, tile = _through(flat, tile, rows, pieces, lambda src, out: np.matmul(src, m.T, out=out))
+        elif len(run) > 1:
+            _apply_fold(flat, tile, run, sorted(wires))
         else:
-            pieces = _pieces((len(rows),), tile.size >> bits)
-            flat, tile = _through(flat, tile, rows, pieces, lambda src, out: np.matmul(src, m.T, out=out))
+            flat, tile = _apply_gate(flat, tile, run[0].gate, run[0].wires)
     return flat.reshape(buf.shape)
 
 

@@ -111,11 +111,10 @@ def _format_density(circuit: Circuit, fmt: str) -> str:
 
 
 def _cmd_run(args, out, err) -> int:
-    if args.shots < 1:
-        err.write("error: --shots must be at least 1\n")
-        return EXIT_USAGE
-    if not 0 <= args.seed <= measure.MAX_SEED:
-        err.write("error: --seed must be an unsigned 64-bit integer\n")
+    try:
+        measure.check_sampling(args.shots, args.seed)
+    except QsimError as exc:
+        err.write(f"error: --{exc}\n")
         return EXIT_USAGE
     circuit = _load_circuit(args.file)
     if args.backend == "density":

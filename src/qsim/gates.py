@@ -20,22 +20,25 @@ from . import numerics
 from .errors import ArityError, NotUnitaryError, UnknownGateError
 
 
-def _cycles(m: np.ndarray):
-    """The cycles of a monomial matrix, or None when the matrix is dense.
+def _monomial(m: np.ndarray):
+    """The (source, phase) pair of a monomial unitary, or None when it is dense.
 
-    Output row r is ``m[r, src]`` times input row ``src``, for the one
-    nonzero column ``src`` of row r. Rows chain r -> src into cycles; each
-    cycle is a tuple of (row, phase) pairs in which every row takes the
-    next row's input, the last taking the first's. Rows that keep their
-    own input with phase 1 are left out.
+    Output row r is ``phase[r]`` times input row ``source[r]``. A unitary
+    with no more nonzeros than rows has one in each row and column.
     """
-    rows = m.tolist()
-    nonzero = [[c for c, v in enumerate(row) if v != 0] for row in rows]
-    if any(len(cols) != 1 for cols in nonzero):
-        return None
-    src = [cols[0] for cols in nonzero]
-    if len(set(src)) != len(src):
-        return None
+    rows, source = np.nonzero(m)
+    return (source, m[rows, source]) if len(rows) == len(m) else None
+
+
+def _cycles(source, phase):
+    """The cycles of the monomial map ``(source, phase)`` of :func:`_monomial`.
+
+    Rows chain r -> source[r] into cycles; each cycle is a tuple of (row,
+    phase) pairs in which every row takes the next row's input, the last
+    taking the first's. Rows that keep their own input with phase 1 are
+    left out. Gates and the engine's folds share this walk.
+    """
+    src, phases = source.tolist(), phase.tolist()
     cycles, seen = [], set()
     for start in range(len(src)):
         if start in seen:
@@ -43,7 +46,7 @@ def _cycles(m: np.ndarray):
         cycle, r = [], start
         while r not in seen:
             seen.add(r)
-            cycle.append((r, rows[r][src[r]]))
+            cycle.append((r, phases[r]))
             r = src[r]
         if len(cycle) > 1 or cycle[0][1] != 1:
             cycles.append(tuple(cycle))
@@ -68,7 +71,8 @@ class Gate:
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "cycles", _cycles(m))
+        monomial = _monomial(m)
+        object.__setattr__(self, "cycles", None if monomial is None else _cycles(*monomial))
 
     def __setattr__(self, name, value):
         raise AttributeError("Gate is immutable")

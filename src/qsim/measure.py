@@ -225,6 +225,19 @@ def _philox_draws(seed: int, shots: np.ndarray) -> np.ndarray:
     return (c0 >> 11) * 2.0**-53
 
 
+def check_sampling(shots: int, seed: int) -> None:
+    """Reject fewer than one shot, or a seed outside the unsigned 64-bit range.
+
+    :func:`sample` and ``qsim run`` share this check, so it holds on both
+    backends. Each message starts with the name of what it rejects, which
+    the command line prefixes with ``--`` to name its flag.
+    """
+    if shots < 1:
+        raise ProbabilityError("shots must be at least 1")
+    if not 0 <= seed <= MAX_SEED:
+        raise QsimError("seed must be an unsigned 64-bit integer")
+
+
 def sample(circuit: Circuit, shots: int, seed: int, *, workers: int = 1) -> ShotHistogram:
     """Run ``shots`` end-to-end executions of the circuit from |0...0>.
 
@@ -237,10 +250,7 @@ def sample(circuit: Circuit, shots: int, seed: int, *, workers: int = 1) -> Shot
     accepted for compatibility and ignored: the histogram depends only on
     the circuit, ``shots`` and ``seed``.
     """
-    if shots < 1:
-        raise ProbabilityError(f"shots must be positive, got {shots}")
-    if not 0 <= seed <= MAX_SEED:
-        raise QsimError(f"seed must be an unsigned 64-bit integer, got {seed}")
+    check_sampling(shots, seed)
     # Checked before |0...0> is built: over the cap, that alone can exhaust memory.
     capacity.check("statevector", circuit.num_qubits)
     probs = probabilities(apply(circuit, zero_state(circuit.num_qubits))).probabilities

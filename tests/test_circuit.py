@@ -401,7 +401,9 @@ class TestKernels:
             return fold(run, bits, shift)
 
         monkeypatch.setattr(engine, "_fold", spy)
-        # Wires 0-3 lie above the block: X 2, H 0 and CNOT 3-5 break the runs.
+        # Wires 0-3 lie above the block. X 2, H 0 and CNOT 3-5 share no wire
+        # with the block's run, so later gates in the block move back past
+        # them and join it; T 5 shares wire 5 with CNOT 3-5, which splits it.
         steps = [
             (gates.H, (5,)),
             (gates.CNOT, (6, 7)),
@@ -413,9 +415,10 @@ class TestKernels:
             (gates.SWAP, (4, 7)),
             (gates.CNOT, (3, 5)),
             (gates.H, (4,)),
+            (gates.T, (5,)),
         ]
         self.check(Circuit(self.N, [Instruction(gate, w) for gate, w in steps]), random_state(rng, self.N))
-        assert runs == [[(5,), (6, 7), (4,)], [(7,)], [(6,), (4, 7)], [(4,)]]
+        assert runs == [[(5,), (6, 7), (4,), (7,), (6,), (4, 7), (4,)], [(5,)]]
 
     def test_diagonal_runs_multiply_in_place(self, monkeypatch, rng, random_state):
         # T Z S T folds to a diagonal, and so does X S X, a product of
@@ -559,3 +562,160 @@ class TestKernels:
         finally:
             tracemalloc.stop()
         assert peak <= (1.1 + min(engine.TILE, 2**n) / 2**n) * 16 * 2**n
+
+
+class TestMonomialFold:
+    """The scheduler and the monomial fold against ``unitary_of`` at 1e-12.
+
+    At N = 8 with the trailing block cut to one bit and folds allowed blocks
+    of two entries, wires 0-6 lie above the block and a fold may span all
+    ``FOLD_WIRES`` of them; at full size both constants keep their values.
+    """
+
+    N = 8
+
+    @pytest.fixture
+    def small(self, monkeypatch):
+        monkeypatch.setattr(engine, "BLOCK_BITS", 1)
+        monkeypatch.setattr(engine, "FOLD_BLOCK_BITS", 1)
+
+    def schedule(self, c):
+        items = engine._schedule(c.instructions, self.N - 1, engine.FOLD_WIRES)
+        return [(kind, sorted(ws), [instr.wires for instr in run]) for kind, ws, run in items]
+
+    def check(self, c, s):
+        u = unitary_of(c)
+        np.testing.assert_allclose(apply(c, s).amplitudes, u @ s.amplitudes, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(unitary(c), u, rtol=0, atol=1e-12)
+        rho = to_density(s)
+        np.testing.assert_allclose(apply_density(c, rho).matrix, u @ rho.matrix @ u.conj().T, rtol=0, atol=1e-12)
+
+    @staticmethod
+    def run_on(rng, wires, diagonal):
+        """Monomial gates covering ``wires``: library gates, a user 2-qubit gate and, from 3 wires, a user 3-qubit one."""
+        if diagonal:
+            one = [gates.Z, gates.S, gates.T]
+            two = gates.Gate("D", 2, np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, 4))))
+            three = gates.Gate("D3", 3, np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, 8))))
+        else:
+            one = [gates.X, gates.Y, gates.T]
+            two = gates.Gate("P", 2, np.diag([1j, -1, 1, np.exp(0.3j)])[[2, 0, 3, 1]])
+            three = gates.Gate("C3", 3, np.eye(8)[[1, 2, 0, 3, 4, 5, 7, 6]])
+        steps = [(one[k % 3], (w,)) for k, w in enumerate(wires)] + [(one[2], wires[:1])]
+        if len(wires) >= 2:
+            steps += [(two, (wires[-1], wires[0]))]
+            steps += [] if diagonal else [(gates.CNOT, (wires[0], wires[-1])), (gates.SWAP, wires[:2])]
+        if len(wires) >= 3:
+            steps += [(three, (wires[1], wires[-1], wires[0]))]
+        order = rng.permutation(len(steps))
+        return [Instruction(*steps[k]) for k in order]
+
+    @pytest.mark.parametrize("m", range(1, engine.FOLD_WIRES + 1))
+    @pytest.mark.parametrize("spread", [False, True])
+    @pytest.mark.parametrize("diagonal", [True, False])
+    def test_fold_of_every_width(self, m, spread, diagonal, small, monkeypatch, rng, random_state):
+        wires = tuple(sorted((0, 6, 2, 4, 1, 5)[:m])) if spread else tuple(range(7 - m, 7))
+        c = Circuit(self.N, self.run_on(rng, wires, diagonal))
+        assert self.schedule(c) == [("fold", list(wires), [instr.wires for instr in c.instructions])]
+        moves = []
+        move = engine._move
+        monkeypatch.setattr(engine, "_move", lambda *args: moves.append(args[3]) or move(*args))
+        self.check(c, random_state(rng, self.N))
+        # A diagonal fold is one broadcast multiply, any other one call of
+        # the block moves per row pass: apply, unitary, and apply_density's two.
+        assert moves == ([] if diagonal else [list(wires)] * 4)
+
+    def test_permutations_folding_to_a_diagonal_multiply(self, small, monkeypatch, rng, random_state):
+        c = Circuit(self.N, [Instruction(g, w) for g, w in [(gates.X, (3,)), (gates.CNOT, (3, 0)), (gates.S, (0,)), (gates.CNOT, (3, 0)), (gates.X, (3,))]])
+        assert self.schedule(c) == [("fold", [0, 3], [(3,), (3, 0), (0,), (3, 0), (3,)])]
+
+        def refuse(*args):
+            raise AssertionError("a diagonal fold ran block moves")
+
+        monkeypatch.setattr(engine, "_move", refuse)
+        self.check(c, random_state(rng, self.N))
+
+    def test_gate_moves_back_past_disjoint_gates(self, small, rng, random_state):
+        user = gates.Gate("U", 2, random_unitary(rng, 4))
+        steps = [(gates.X, (0,)), (gates.H, (3,)), (user, (4, 5)), (gates.CNOT, (0, 1)), (gates.T, (7,)), (gates.Y, (1,)), (gates.S, (7,))]
+        c = Circuit(self.N, [Instruction(g, w) for g, w in steps])
+        assert self.schedule(c) == [
+            ("fold", [0, 1], [(0,), (0, 1), (1,)]),
+            (None, [3], [(3,)]),
+            (None, [4, 5], [(4, 5)]),
+            ("block", [7], [(7,), (7,)]),
+        ]
+        self.check(c, random_state(rng, self.N))
+
+    def test_shared_wire_splits_a_run(self, small, rng, random_state):
+        # Y 6 finds the first fold full and opens a second. T 1 shares wire 1
+        # with H 1, so it opens a third, which S 6 joins as the latest item
+        # it fits. CNOT 6-7 crosses the block edge and splits the run on 6.
+        steps = [(gates.X, (0,)), (gates.CNOT, (0, 1))] + [(gates.X, (w,)) for w in (2, 3, 4, 5)]
+        steps += [(gates.Y, (6,)), (gates.H, (1,)), (gates.T, (1,)), (gates.S, (6,)), (gates.CNOT, (6, 7)), (gates.Z, (6,))]
+        c = Circuit(self.N, [Instruction(g, w) for g, w in steps])
+        assert self.schedule(c) == [
+            ("fold", [0, 1, 2, 3, 4, 5], [(0,), (0, 1), (2,), (3,), (4,), (5,)]),
+            ("fold", [6], [(6,)]),
+            (None, [1], [(1,)]),
+            ("fold", [1, 6], [(1,), (6,)]),
+            (None, [6, 7], [(6, 7)]),
+            ("fold", [6], [(6,)]),
+        ]
+        self.check(c, random_state(rng, self.N))
+
+    @staticmethod
+    def benchmark_circuits(seed, n=20, copies=2):
+        """The benchmark's ``statevector`` circuits: each library gate twice on fixed wires, in seeded orders."""
+        rng = np.random.default_rng(1)
+        layout = [
+            (gates.standard_gate(label), tuple(int(w) for w in rng.choice(n, gates.standard_gate(label).arity, replace=False)))
+            for label in ("x", "y", "z", "s", "t", "h", "swap", "cnot")
+            for _ in range(copies)
+        ]
+        orders = np.random.default_rng([seed, 1])
+        return [Circuit(n, [Instruction(*layout[k]) for k in orders.permutation(len(layout))]) for _ in range(6)]
+
+    def test_benchmark_circuits_make_at_most_eight_passes(self, monkeypatch, rng, random_state):
+        passes = []
+        schedule = engine._schedule
+
+        def spy(*args):
+            items = schedule(*args)
+            passes.append(len(items))
+            return items
+
+        monkeypatch.setattr(engine, "_schedule", spy)
+        s = random_state(rng, 20)
+        for c in self.benchmark_circuits(seed=1):
+            flat, tile = s.amplitudes.copy(), np.empty(engine.TILE, dtype=np.complex128)
+            for instr in c.instructions:
+                flat, tile = engine._apply_gate(flat, tile, instr.gate, instr.wires)
+            np.testing.assert_allclose(apply(c, s).amplitudes, flat, rtol=0, atol=1e-12)
+        assert len(passes) == 6 and max(passes) <= 8, passes
+
+    def test_below_the_size_threshold_gates_run_one_by_one(self, rng, random_state):
+        # At 12 qubits a fold's blocks would hold fewer than 2**12 entries:
+        # every monomial gate above the block is its own pass, bit for bit.
+        n = engine.FOLD_BLOCK_BITS
+        steps = [(gates.T, (0,)), (gates.T, (0,)), (gates.CNOT, (2, 0)), (gates.Y, (2,)), (gates.S, (5,)), (gates.T, (5,)), (gates.SWAP, (7, 1))]
+        c = Circuit(n, [Instruction(g, w) for g, w in steps])
+        s = random_state(rng, n)
+        flat, tile = s.amplitudes.copy(), np.empty(engine.TILE, dtype=np.complex128)
+        for instr in c.instructions:
+            flat, tile = engine._apply_gate(flat, tile, instr.gate, instr.wires)
+        assert np.array_equal(apply(c, s).amplitudes, flat)
+
+    def test_fold_works_in_place(self):
+        n = 20
+        steps = [(gates.X, (0,)), (gates.CNOT, (3, 9)), (gates.Y, (15,)), (gates.SWAP, (0, 12)), (gates.T, (9,)), (gates.X, (6,))]
+        c = Circuit(n, [Instruction(g, w) for g, w in steps])
+        assert len(engine._schedule(c.instructions, n - BLOCK_BITS, engine.FOLD_WIRES)) == 1
+        s = zero_state(n)
+        tracemalloc.start()
+        try:
+            apply(c, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 16 * 2**n

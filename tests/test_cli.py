@@ -138,6 +138,19 @@ class TestRun:
         assert run_cli(capsys, "run", bell_file, "--seed", "-4")[0] == 2
         assert run_cli(capsys, "run", bell_file, "--backend", "tensor")[0] == 2
 
+    @pytest.mark.parametrize("backend", ["statevector", "density"])
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--shots", "0", "error: --shots must be at least 1\n"),
+            ("--shots", "-3", "error: --shots must be at least 1\n"),
+            ("--seed", "-1", "error: --seed must be an unsigned 64-bit integer\n"),
+            ("--seed", str(2**64), "error: --seed must be an unsigned 64-bit integer\n"),
+        ],
+    )
+    def test_shots_and_seed_rejected_on_both_backends(self, capsys, bell_file, backend, flag, value, message):
+        assert run_cli(capsys, "run", bell_file, "--backend", backend, flag, value) == (2, "", message)
+
     def test_capacity_override_env(self, capsys, monkeypatch, bell_file):
         monkeypatch.setenv("QSIM_MAX_QUBITS", "1")
         code, out, err = run_cli(capsys, "run", bell_file)
