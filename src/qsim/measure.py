@@ -17,11 +17,15 @@ computes it in numpy for a chunk of shots at a time, bit-identical to
 
 ``qsim run`` prints a :class:`ShotHistogram` or an :class:`OutcomeDistribution`
 in json, csv or text, each through ``render`` and the one writer :func:`_render`.
+Outcomes stay arrays up to the text: :func:`_labels` names a whole array of
+basis indices in one numpy pass, and the json shape is written by json's C
+encoder, which ``indent`` would turn off.
 """
 
 import csv
 import io
 import json
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +38,7 @@ from .qstate import DensityMatrix, StateVector, _adopt, adopt_state, basis_state
 PROB_TOL = 1e-12
 SUM_TOL = 1e-10
 MAX_SEED = (1 << 64) - 1
-SHOT_CHUNK = 1 << 16  # shots per vectorized draw; bounds its memory at a few MiB
+SHOT_CHUNK = 1 << 16  # shots per vectorized draw, labels per pass; bounds their memory at a few MiB
 
 # Philox4x64 round multipliers and Weyl key increments, as in numpy's Philox.
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
@@ -49,11 +53,32 @@ def bitstring(index: int, num_qubits: int) -> str:
     return format(index, f"0{num_qubits}b") if num_qubits else ""
 
 
+def _labels(indices, num_qubits: int) -> list[str]:
+    """:func:`bitstring` of each basis index in ``indices``, one numpy pass per chunk.
+
+    Each index's bits, most significant first, plus ``ord("0")`` are the
+    UCS-4 code points of one ``U<n>`` item, so the array is viewed as text
+    with no decode step. Chunks of ``SHOT_CHUNK`` indices keep the arrays
+    beside the labels small.
+    """
+    indices = np.asarray(indices, dtype=np.int64).reshape(-1)
+    if not num_qubits:
+        return [""] * indices.size
+    shifts = np.arange(num_qubits - 1, -1, -1, dtype=np.int64)
+    labels = []
+    for start in range(0, indices.size, SHOT_CHUNK):
+        chars = (indices[start : start + SHOT_CHUNK, None] >> shifts & 1).astype(np.uint32)
+        chars += ord("0")
+        labels += chars.view(f"U{num_qubits}").reshape(-1).tolist()
+    return labels
+
+
 @dataclass(frozen=True)
 class OutcomeDistribution:
     """Exact outcome probabilities over all 2**n basis states.
 
-    Construction checks the count, the [0, 1] range and the unit sum.
+    Construction checks the count, the [0, 1] range (NaN fails it) and the
+    unit sum.
     :func:`probabilities` and :func:`probabilities_density` derive theirs
     from states that passed the state checks, so they skip these (a pass
     over 2**n values that would find only roundoff).
@@ -68,7 +93,8 @@ class OutcomeDistribution:
             raise ProbabilityError(
                 f"expected {1 << self.num_qubits} probabilities, got {probs.size}"
             )
-        if probs.min() < -PROB_TOL or probs.max() > 1.0 + PROB_TOL:
+        # Written so that a NaN, which fails every comparison, fails the check.
+        if not (probs.min() >= -PROB_TOL and probs.max() <= 1.0 + PROB_TOL):
             raise ProbabilityError("probabilities must lie in [0, 1]")
         total = float(probs.sum())
         if abs(total - 1.0) > SUM_TOL:
@@ -77,7 +103,7 @@ class OutcomeDistribution:
         object.__setattr__(self, "probabilities", probs)
 
     def labels(self) -> list[str]:
-        return [bitstring(k, self.num_qubits) for k in range(self.probabilities.size)]
+        return _labels(np.arange(self.probabilities.size), self.num_qubits)
 
     def render(self, fmt: str) -> str:
         """The distribution as ``qsim run --backend density`` prints it.
@@ -100,14 +126,24 @@ class MeasurementRecord:
 
 @dataclass(frozen=True)
 class ShotHistogram:
-    """Counts per observed bitstring for a multi-shot run."""
+    """Counts per observed bitstring for a multi-shot run.
+
+    Construction checks that each count is a non-negative integer (by
+    ``operator.index``, so 0.5 is refused) and that they sum to ``shots``.
+    """
 
     counts: dict[str, int]
     shots: int
     seed: int
 
     def __post_init__(self):
-        if sum(self.counts.values()) != self.shots:
+        try:
+            counts = list(map(operator.index, self.counts.values()))
+        except TypeError:
+            raise ProbabilityError("histogram counts must be integers") from None
+        if min(counts, default=0) < 0:
+            raise ProbabilityError("histogram counts must not be negative")
+        if sum(counts) != self.shots:
             raise ProbabilityError("histogram counts must sum to the shot total")
 
     def render(self, fmt: str) -> str:
@@ -125,12 +161,19 @@ class ShotHistogram:
 def _render(fmt: str, header: dict, key: str, rows: dict, cell=str) -> str:
     """``rows``, a {label: value} dict, as "json", "csv" or "text".
 
-    json: ``header``, then ``rows`` under ``key``, indented by 2. csv: one
-    ``label,value`` line per row, by ``csv.writer`` (a float as its repr).
-    text: one ``label cell`` line per row, cells right-aligned to the widest.
+    json: ``header`` (not empty), then ``rows`` under ``key``, the bytes of
+    ``json.dumps(..., indent=2)``. Each dict is one C-encoder call whose item
+    separator carries the newline and indent, so json's own escaping and
+    number reprs are kept. csv: one ``label,value`` line per row, by
+    ``csv.writer`` (a float as its repr). text: one ``label cell`` line per
+    row, cells right-aligned to the widest.
     """
     if fmt == "json":
-        return json.dumps({**header, key: rows}, indent=2) + "\n"
+        head = json.dumps(header, separators=(",\n  ", ": "))[1:-1]
+        body = json.dumps(rows, separators=(",\n    ", ": "))
+        if rows:
+            body = f"{{\n    {body[1:-1]}\n  }}"
+        return f"{{\n  {head},\n  {json.dumps(key)}: {body}\n}}\n"
     if fmt == "csv":
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(rows.items())
@@ -260,5 +303,6 @@ def sample(circuit: Circuit, shots: int, seed: int, *, workers: int = 1) -> Shot
     for start in range(0, shots, SHOT_CHUNK):
         indices = np.arange(start, min(start + SHOT_CHUNK, shots), dtype=np.uint64)
         np.add.at(tally, _pick(probs, cum, _philox_draws(seed, indices)), 1)
-    counts = {bitstring(int(k), circuit.num_qubits): int(tally[k]) for k in np.flatnonzero(tally)}
+    hit = np.flatnonzero(tally)  # ascending index order is label order
+    counts = dict(zip(_labels(hit, circuit.num_qubits), tally[hit].tolist()))
     return ShotHistogram(counts=counts, shots=shots, seed=seed)

@@ -1,9 +1,13 @@
 """Brute-force references that only the tests call.
 
 Dense products, Kronecker products and adjoints with explicit shape checks,
-and a two-qubit gate's action on one basis ket. The library's paths never
-build these: they run gates in place through ``qsim.circuit``.
+a two-qubit gate's action on one basis ket, and the ``qsim run`` json shape
+from json's pure-Python indenting encoder. The library's paths never build
+these: they run gates in place through ``qsim.circuit`` and write json with
+the C encoder.
 """
+
+import json
 
 import numpy as np
 
@@ -55,3 +59,8 @@ def apply_two_qubit_truth_table(gate: Gate, basis_label: str) -> StateVector:
     vec = np.zeros(4, dtype=np.complex128)
     vec[int(basis_label, 2)] = 1.0
     return StateVector(gate.matrix @ vec)
+
+
+def indented_json(header: dict, key: str, rows: dict) -> str:
+    """``header``, then ``rows`` under ``key``, as ``json.dumps(indent=2)``."""
+    return json.dumps({**header, key: rows}, indent=2) + "\n"

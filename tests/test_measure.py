@@ -13,6 +13,7 @@ from qsim.measure import (
     SHOT_CHUNK,
     OutcomeDistribution,
     ShotHistogram,
+    _labels,
     _philox_draws,
     _pick,
     bitstring,
@@ -139,6 +140,13 @@ class TestProbabilities:
             OutcomeDistribution(1, [1.2, -0.2])
         with pytest.raises(ProbabilityError):
             OutcomeDistribution(2, [1.0, 0.0])
+
+    @pytest.mark.parametrize(
+        "probs", [[np.nan, np.nan], [np.nan, 1.0], [1.0, np.nan], [np.inf, 0.0], [1.0, -np.inf]]
+    )
+    def test_distribution_rejects_non_finite(self, probs):
+        with pytest.raises(ProbabilityError):
+            OutcomeDistribution(1, probs)
 
 
 class TestMeasureAll:
@@ -382,6 +390,30 @@ class TestSerialization:
     def test_histogram_count_invariant(self):
         with pytest.raises(ProbabilityError):
             ShotHistogram(counts={"0": 1}, shots=2, seed=0)
+
+    @pytest.mark.parametrize(
+        "counts", [{"0": 5, "1": -4}, {"0": 0.5, "1": 0.5}, {"0": 1.0}, {"0": "1"}]
+    )
+    def test_histogram_counts_are_non_negative_integers(self, counts):
+        with pytest.raises(ProbabilityError):
+            ShotHistogram(counts=counts, shots=1, seed=0)
+
+    def test_histogram_accepts_integer_likes(self):
+        hist = ShotHistogram(counts={"0": np.int64(2), "1": 0}, shots=2, seed=0)
+        assert hist.to_csv() == "0,2\n1,0\n"
+
+
+def test_labels_of_an_index_array():
+    assert _labels(np.array([0, 5, 7]), 3) == ["000", "101", "111"]
+    assert _labels(np.arange(1), 0) == [""]
+    assert _labels(np.array([], dtype=np.int64), 4) == []
+    assert OutcomeDistribution(2, [0.25] * 4).labels() == ["00", "01", "10", "11"]
+
+
+def test_labels_across_a_chunk_boundary():
+    labels = _labels(np.arange(SHOT_CHUNK + 2), 17)
+    assert len(labels) == SHOT_CHUNK + 2
+    assert labels[SHOT_CHUNK - 1 :] == [bitstring(k, 17) for k in range(SHOT_CHUNK - 1, SHOT_CHUNK + 2)]
 
 
 def test_bitstring_labels():
