@@ -12,13 +12,14 @@ M and the tile trade places instead. :func:`_schedule` makes the passes:
 an instruction moves back past passes on other wires, which commute with
 it, and joins the latest one it fits, a run for kernel 1 or a monomial run
 above it on at most ``FOLD_WIRES`` wires (fewer on a small M), or is alone.
+Every fused run is folded by the engine on the identity of its wires
+(:func:`_fold`); a diagonal result is one in-place multiply, a monomial one
+block moves (kernel 3), a trailing dense one a zgemm (kernel 1).
 
-1. Fused trailing block. A run on the last ``BLOCK_BITS`` bits of M is
-   folded into one 2**BLOCK_BITS-square matrix, by running the engine on
-   the identity, and applied as one zgemm per tile of M's rows, viewed as
-   (rows, 2**BLOCK_BITS), into the tile and copied back. There a strided
-   view would give numpy one inner loop per 2-16 entries. A diagonal fold
-   multiplies M in place instead.
+1. Fused trailing block. A dense fold of a run on the last ``BLOCK_BITS``
+   bits of M is one zgemm per tile of M's rows, viewed as (rows,
+   2**BLOCK_BITS), into the tile and copied back. There a strided view
+   would give numpy one inner loop per 2-16 entries.
 2. Broadcast matmul. A lone dense 1-qubit gate (H, user gates) on any
    other wire, whose inner stride s is then at least 2**BLOCK_BITS, is one
    (2, 2) @ (outer, 2, s) matmul per piece, split along outer, or along s
@@ -28,10 +29,8 @@ above it on at most ``FOLD_WIRES`` wires (fewer on a small M), or is alone.
    ``np.multiply(phase, src, out=dst)``, phase 1 included. numpy proves the
    interleaved views of one buffer disjoint and makes no copy; only the
    first block's piece of a cycle is held in the tile. The map is a lone
-   gate's or a run's, composed into one source index and phase per block;
-   a diagonal run is one broadcast multiply. A lone dense gate on two or
-   more wires writes the output blocks of each piece into the tile and
-   copies them back.
+   gate's or a folded run's. A lone dense gate on two or more wires writes
+   the output blocks of each piece into the tile and copies them back.
 
 :func:`apply` runs the engine on a copy of a state vector, :func:`unitary`
 on the identity, and :func:`apply_density` twice on a copy of rho: U rho U†
@@ -258,29 +257,14 @@ def _apply_gate(buf, tile, gate: Gate, wires):
     return _through(buf, tile, blocks, pieces, dense)
 
 
-def _fold(run, bits: int, shift: int) -> np.ndarray:
-    """The 2**bits x 2**bits unitary of ``run``, its wires lowered by ``shift``: the engine on I."""
-    m = np.eye(1 << bits, dtype=np.complex128).reshape(-1)
+def _fold(run, wires) -> np.ndarray:
+    """The 2**k x 2**k unitary of ``run`` on the k sorted ``wires``: the engine on I."""
+    m = np.eye(1 << len(wires), dtype=np.complex128).reshape(-1)
     # Scratch the size of m, far smaller than the engine's tile.
     tile = np.empty(m.size, dtype=m.dtype)
     for instr in run:
-        m, tile = _apply_gate(m, tile, instr.gate, [w - shift for w in instr.wires])
-    return m.reshape(1 << bits, 1 << bits)
-
-
-def _apply_fold(buf, tile, run, wires) -> None:
-    """Apply a monomial ``run`` on the sorted ``wires`` of the flat ``buf`` in one pass (kernel 3's fold)."""
-    source, phase = np.arange(1 << len(wires)), np.ones(1 << len(wires), dtype=np.complex128)
-    for instr in run:
-        gate_source, gate_phase = _monomial(instr.gate.matrix)
-        # at[r]: the entries whose bits on the gate's wires read r.
-        at = _blocks(np.arange(len(source)), [wires.index(w) for w in instr.wires]).reshape(len(gate_source), -1)
-        source[at], phase[at] = source[at[gate_source]], gate_phase[:, None] * phase[at[gate_source]]
-    if np.array_equal(source, np.arange(len(source))):
-        blocks = _blocks(buf, wires)
-        np.multiply(blocks, phase.reshape((2,) * len(wires) + (1,) * (blocks.ndim - len(wires))), out=blocks)
-    else:
-        _move(buf, tile, _cycles(source, phase), wires)
+        m, tile = _apply_gate(m, tile, instr.gate, [wires.index(w) for w in instr.wires])
+    return m.reshape(1 << len(wires), 1 << len(wires))
 
 
 def _schedule(instructions, low: int, width: int) -> list:
@@ -321,18 +305,21 @@ def _rows(circuit: Circuit, buf):
     widest = max([bits] + [instr.gate.arity + 1 for instr in circuit.instructions])
     tile = np.empty(max(min(TILE, flat.size), 1 << widest), dtype=flat.dtype)
     for kind, wires, run in _schedule(circuit.instructions, low, min(FOLD_WIRES, nbits - FOLD_BLOCK_BITS)):
-        if kind == "block":
-            m = _fold(run, bits, low)
-            rows, diagonal = flat.reshape(-1, 1 << bits), np.diagonal(m)
-            if np.count_nonzero(m) == np.count_nonzero(diagonal):
-                np.multiply(rows, diagonal, out=rows)
-            else:
-                pieces = _pieces((len(rows),), tile.size >> bits)
-                flat, tile = _through(flat, tile, rows, pieces, lambda src, out: np.matmul(src, m.T, out=out))
-        elif len(run) > 1:
-            _apply_fold(flat, tile, run, sorted(wires))
-        else:
+        if kind != "block" and len(run) == 1:
             flat, tile = _apply_gate(flat, tile, run[0].gate, run[0].wires)
+            continue
+        wires = range(low, nbits) if kind == "block" else sorted(wires)
+        m = _fold(run, wires)
+        diagonal = np.diagonal(m)
+        if np.count_nonzero(m) == np.count_nonzero(diagonal):
+            blocks = _blocks(flat, wires)
+            np.multiply(blocks, diagonal.reshape((2,) * len(wires) + (1,) * (blocks.ndim - len(wires))), out=blocks)
+        elif kind == "fold":
+            _move(flat, tile, _cycles(*_monomial(m)), wires)
+        else:
+            rows = flat.reshape(-1, 1 << bits)
+            pieces = _pieces((len(rows),), tile.size >> bits)
+            flat, tile = _through(flat, tile, rows, pieces, lambda src, out: np.matmul(src, m.T, out=out))
     return flat.reshape(buf.shape)
 
 

@@ -159,18 +159,20 @@ class ShotHistogram:
 
 
 def _render(fmt: str, header: dict, key: str, rows: dict, cell=str) -> str:
-    """``rows``, a {label: value} dict, as "json", "csv" or "text".
+    """``rows``, a {label: value} dict, as "json", "csv" or "text"; any other ``fmt`` is refused.
 
     json: ``header`` (not empty), then ``rows`` under ``key``, the bytes of
     ``json.dumps(..., indent=2)``. Each dict is one C-encoder call whose item
     separator carries the newline and indent, so json's own escaping and
-    number reprs are kept. csv: one ``label,value`` line per row, by
-    ``csv.writer`` (a float as its repr). text: one ``label cell`` line per
-    row, cells right-aligned to the widest.
+    number reprs are kept; a numpy integer is written as its int. csv: one
+    ``label,value`` line per row, by ``csv.writer`` (a float as its repr).
+    text: one ``label cell`` line per row, cells right-aligned to the widest.
     """
+    if fmt not in ("json", "csv", "text"):
+        raise QsimError(f"format must be json, csv or text, got {fmt!r}")
     if fmt == "json":
-        head = json.dumps(header, separators=(",\n  ", ": "))[1:-1]
-        body = json.dumps(rows, separators=(",\n    ", ": "))
+        head = json.dumps(header, separators=(",\n  ", ": "), default=operator.index)[1:-1]
+        body = json.dumps(rows, separators=(",\n    ", ": "), default=operator.index)
         if rows:
             body = f"{{\n    {body[1:-1]}\n  }}"
         return f"{{\n  {head},\n  {json.dumps(key)}: {body}\n}}\n"
@@ -268,17 +270,28 @@ def _philox_draws(seed: int, shots: np.ndarray) -> np.ndarray:
     return (c0 >> 11) * 2.0**-53
 
 
-def check_sampling(shots: int, seed: int) -> None:
-    """Reject fewer than one shot, or a seed outside the unsigned 64-bit range.
+def _index(value):
+    """``value`` as a Python int by ``operator.index``, or None when it is no integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
 
-    :func:`sample` and ``qsim run`` share this check, so it holds on both
-    backends. Each message starts with the name of what it rejects, which
-    the command line prefixes with ``--`` to name its flag.
+
+def check_sampling(shots: int, seed: int) -> tuple[int, int]:
+    """``shots`` and ``seed`` as Python ints: at least one shot, an unsigned 64-bit seed.
+
+    Integers are read by ``operator.index``, so numpy integers pass and
+    floats fail. :func:`sample` and ``qsim run`` share this check, so it
+    holds on both backends. Each message starts with the name of what it
+    rejects, which the command line prefixes with ``--`` to name its flag.
     """
-    if shots < 1:
+    shots, seed = _index(shots), _index(seed)
+    if shots is None or shots < 1:
         raise ProbabilityError("shots must be at least 1")
-    if not 0 <= seed <= MAX_SEED:
+    if seed is None or not 0 <= seed <= MAX_SEED:
         raise QsimError("seed must be an unsigned 64-bit integer")
+    return shots, seed
 
 
 def sample(circuit: Circuit, shots: int, seed: int, *, workers: int = 1) -> ShotHistogram:
@@ -293,7 +306,7 @@ def sample(circuit: Circuit, shots: int, seed: int, *, workers: int = 1) -> Shot
     accepted for compatibility and ignored: the histogram depends only on
     the circuit, ``shots`` and ``seed``.
     """
-    check_sampling(shots, seed)
+    shots, seed = check_sampling(shots, seed)
     # Checked before |0...0> is built: over the cap, that alone can exhaust memory.
     capacity.check("statevector", circuit.num_qubits)
     probs = probabilities(apply(circuit, zero_state(circuit.num_qubits))).probabilities

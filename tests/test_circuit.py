@@ -395,10 +395,10 @@ class TestKernels:
         runs = []
         fold = engine._fold
 
-        def spy(run, bits, shift):
+        def spy(run, wires):
             run = list(run)
             runs.append([instr.wires for instr in run])
-            return fold(run, bits, shift)
+            return fold(run, wires)
 
         monkeypatch.setattr(engine, "_fold", spy)
         # Wires 0-3 lie above the block. X 2, H 0 and CNOT 3-5 share no wire
@@ -579,6 +579,28 @@ class TestMonomialFold:
         monkeypatch.setattr(engine, "BLOCK_BITS", 1)
         monkeypatch.setattr(engine, "FOLD_BLOCK_BITS", 1)
 
+    @pytest.fixture
+    def moves(self, monkeypatch):
+        """The wires of every block move on the operand, leaving out ``_fold``'s moves on its identity."""
+        moves, folding = [], []
+        fold, move = engine._fold, engine._move
+
+        def fold_spy(run, wires):
+            folding.append(wires)
+            try:
+                return fold(run, wires)
+            finally:
+                folding.pop()
+
+        def move_spy(buf, tile, cycles, wires):
+            if not folding:
+                moves.append(wires)
+            move(buf, tile, cycles, wires)
+
+        monkeypatch.setattr(engine, "_fold", fold_spy)
+        monkeypatch.setattr(engine, "_move", move_spy)
+        return moves
+
     def schedule(self, c):
         items = engine._schedule(c.instructions, self.N - 1, engine.FOLD_WIRES)
         return [(kind, sorted(ws), [instr.wires for instr in run]) for kind, ws, run in items]
@@ -613,27 +635,43 @@ class TestMonomialFold:
     @pytest.mark.parametrize("m", range(1, engine.FOLD_WIRES + 1))
     @pytest.mark.parametrize("spread", [False, True])
     @pytest.mark.parametrize("diagonal", [True, False])
-    def test_fold_of_every_width(self, m, spread, diagonal, small, monkeypatch, rng, random_state):
+    def test_fold_of_every_width(self, m, spread, diagonal, small, moves, rng, random_state):
         wires = tuple(sorted((0, 6, 2, 4, 1, 5)[:m])) if spread else tuple(range(7 - m, 7))
         c = Circuit(self.N, self.run_on(rng, wires, diagonal))
         assert self.schedule(c) == [("fold", list(wires), [instr.wires for instr in c.instructions])]
-        moves = []
-        move = engine._move
-        monkeypatch.setattr(engine, "_move", lambda *args: moves.append(args[3]) or move(*args))
         self.check(c, random_state(rng, self.N))
         # A diagonal fold is one broadcast multiply, any other one call of
         # the block moves per row pass: apply, unitary, and apply_density's two.
         assert moves == ([] if diagonal else [list(wires)] * 4)
 
-    def test_permutations_folding_to_a_diagonal_multiply(self, small, monkeypatch, rng, random_state):
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_fold_is_the_run_on_its_own_wires(self, dense, rng):
+        # Non-adjacent wires, gates given them out of order: the fold is the
+        # run's unitary with wire w renamed wires.index(w). A monomial run is
+        # exact. Its one inexact phase is T's: unitary_of multiplies through
+        # BLAS, which may round a product of two inexact phases an ulp apart
+        # from numpy. With dense gates, as a trailing run may hold, the fold
+        # sums, so it is within 1e-12.
+        wires = [1, 4, 6, 9]
+        phase_perm = gates.Gate("P", 2, np.diag([1j, -1, 1, -1j])[[2, 0, 3, 1]])
+        cycle = gates.Gate("C3", 3, np.eye(8)[[1, 2, 0, 3, 4, 5, 7, 6]])
+        steps = [(gates.CNOT, (9, 1)), (gates.T, (6,)), (phase_perm, (9, 4)), (gates.SWAP, (6, 1))]
+        steps += [(cycle, (6, 1, 9)), (gates.Y, (4,)), (gates.S, (9,)), (gates.CNOT, (4, 6))]
+        if dense:
+            steps[2:2] = [(gates.H, (4,)), (gates.Gate("U", 2, random_unitary(rng, 4)), (9, 1))]
+        run = [Instruction(g, w) for g, w in steps]
+        expected = unitary_of(Circuit(len(wires), [Instruction(g, [wires.index(w) for w in ws]) for g, ws in steps]))
+        folded = engine._fold(run, wires)
+        if dense:
+            np.testing.assert_allclose(folded, expected, rtol=0, atol=1e-12)
+        else:
+            assert np.array_equal(folded, expected)
+
+    def test_permutations_folding_to_a_diagonal_multiply(self, small, moves, rng, random_state):
         c = Circuit(self.N, [Instruction(g, w) for g, w in [(gates.X, (3,)), (gates.CNOT, (3, 0)), (gates.S, (0,)), (gates.CNOT, (3, 0)), (gates.X, (3,))]])
         assert self.schedule(c) == [("fold", [0, 3], [(3,), (3, 0), (0,), (3, 0), (3,)])]
-
-        def refuse(*args):
-            raise AssertionError("a diagonal fold ran block moves")
-
-        monkeypatch.setattr(engine, "_move", refuse)
         self.check(c, random_state(rng, self.N))
+        assert moves == [], "a diagonal fold ran block moves"
 
     def test_gate_moves_back_past_disjoint_gates(self, small, rng, random_state):
         user = gates.Gate("U", 2, random_unitary(rng, 4))

@@ -375,6 +375,33 @@ class TestSample:
             sample(X_CIRCUIT, 1, 1 << 64)
 
 
+    @pytest.mark.parametrize("seed", [np.uint64(5), np.int64(5), np.uint64(2**64 - 1)])
+    def test_numpy_integer_seeds_sample_as_ints(self, seed):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hist = sample(SKEWED, 50, seed)
+        assert hist == sample(SKEWED, 50, int(seed))
+        assert type(hist.seed) is int
+        assert hist.to_json() == sample(SKEWED, 50, int(seed)).to_json()
+
+    @pytest.mark.parametrize(
+        "shots, seed, error, message",
+        [
+            (2.0, 5, ProbabilityError, "shots must be at least 1"),
+            (None, 5, ProbabilityError, "shots must be at least 1"),
+            (10, 5.0, QsimError, "seed must be an unsigned 64-bit integer"),
+            (10, np.float64(5), QsimError, "seed must be an unsigned 64-bit integer"),
+            (10, "5", QsimError, "seed must be an unsigned 64-bit integer"),
+        ],
+    )
+    def test_non_integer_shots_or_seed_rejected(self, shots, seed, error, message):
+        with pytest.raises(error, match=message):
+            sample(X_CIRCUIT, shots, seed)
+
+    def test_numpy_integer_shots(self):
+        assert sample(X_CIRCUIT, np.int32(3), 0).counts == {"1": 3}
+
+
 class TestSerialization:
     def test_json_shape(self):
         hist = sample(bell_circuit(), 256, 7)
@@ -401,6 +428,18 @@ class TestSerialization:
     def test_histogram_accepts_integer_likes(self):
         hist = ShotHistogram(counts={"0": np.int64(2), "1": 0}, shots=2, seed=0)
         assert hist.to_csv() == "0,2\n1,0\n"
+
+
+    def test_histogram_with_numpy_integers_renders_json(self):
+        hist = ShotHistogram(counts={"0": np.int64(2)}, shots=np.int64(2), seed=np.uint64(3))
+        assert json.loads(hist.render("json")) == {"shots": 2, "seed": 3, "counts": {"0": 2}}
+
+    @pytest.mark.parametrize("fmt", ["JSON", "yaml", "", "txt"])
+    def test_unknown_format_rejected(self, fmt):
+        with pytest.raises(QsimError, match="json, csv or text"):
+            OutcomeDistribution(1, [0.5, 0.5]).render(fmt)
+        with pytest.raises(QsimError, match="json, csv or text"):
+            ShotHistogram({"0": 1}, 1, 0).render(fmt)
 
 
 def test_labels_of_an_index_array():
