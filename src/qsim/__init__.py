@@ -2,8 +2,8 @@
 
 Library layout:
 
-- :mod:`qsim.numerics`    dense complex linear algebra (matrix checks, Jacobi
-  eigensolver, spectral matrix exponential)
+- :mod:`qsim.numerics`    dense complex linear algebra (matrix checks, LAPACK
+  Hermitian eigensolver, spectral matrix exponential)
 - :mod:`qsim.qstate`      state vectors, density matrices, ensembles
 - :mod:`qsim.gates`       the fixed gate library (X Y Z S T H SWAP CNOT)
 - :mod:`qsim.circuit`     circuit IR, statevector/density execution, unitaries

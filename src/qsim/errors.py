@@ -13,7 +13,6 @@ __all__ = [
     "NotSquareError",
     "NotHermitianError",
     "NotUnitaryError",
-    "ConvergenceError",
     "NotPowerOfTwoError",
     "NotNormalizedError",
     "PositivityError",
@@ -48,10 +47,6 @@ class NotHermitianError(QsimError):
 
 class NotUnitaryError(QsimError):
     """A gate matrix is not unitary."""
-
-
-class ConvergenceError(QsimError):
-    """An iterative routine hit its iteration cap before converging."""
 
 
 class NotPowerOfTwoError(QsimError):

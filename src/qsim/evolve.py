@@ -15,8 +15,6 @@ from . import capacity, numerics
 from .errors import CapacityError, DimensionMismatchError, NotHermitianError, QsimError
 from .qstate import DensityMatrix, StateVector, adopt_density
 
-HERMITIAN_TOL = 1e-10
-
 
 class Hamiltonian:
     """A Hermitian energy operator with its hbar convention."""
@@ -33,7 +31,7 @@ class Hamiltonian:
                 f"the unitary path's limit of {cap} qubits"
             )
         m = m.copy()
-        if not numerics.is_hermitian(m, HERMITIAN_TOL):
+        if not numerics.is_hermitian(m):
             raise NotHermitianError("Hamiltonian must be Hermitian")
         if not (hbar > 0.0 and math.isfinite(hbar)):
             raise QsimError(f"hbar must be a positive finite real, got {hbar!r}")

@@ -77,7 +77,8 @@ def _labels(indices, num_qubits: int) -> list[str]:
 class OutcomeDistribution:
     """Exact outcome probabilities over all 2**n basis states.
 
-    Construction checks the count, the [0, 1] range (NaN fails it) and the
+    Construction checks ``num_qubits`` (a non-negative integer by
+    ``operator.index``), the count, the [0, 1] range (NaN fails it) and the
     unit sum.
     :func:`probabilities` and :func:`probabilities_density` derive theirs
     from states that passed the state checks, so they skip these (a pass
@@ -88,11 +89,12 @@ class OutcomeDistribution:
     probabilities: np.ndarray
 
     def __post_init__(self):
+        n = _index(self.num_qubits)
+        if n is None or n < 0:
+            raise ProbabilityError("num_qubits must be a non-negative integer")
         probs = np.asarray(self.probabilities, dtype=np.float64).reshape(-1)
-        if probs.size != 1 << self.num_qubits:
-            raise ProbabilityError(
-                f"expected {1 << self.num_qubits} probabilities, got {probs.size}"
-            )
+        if probs.size != 1 << n:
+            raise ProbabilityError(f"expected {1 << n} probabilities, got {probs.size}")
         # Written so that a NaN, which fails every comparison, fails the check.
         if not (probs.min() >= -PROB_TOL and probs.max() <= 1.0 + PROB_TOL):
             raise ProbabilityError("probabilities must lie in [0, 1]")
@@ -100,6 +102,7 @@ class OutcomeDistribution:
         if abs(total - 1.0) > SUM_TOL:
             raise ProbabilityError(f"probabilities sum to {total!r}, expected 1")
         probs.setflags(write=False)
+        object.__setattr__(self, "num_qubits", n)
         object.__setattr__(self, "probabilities", probs)
 
     def labels(self) -> list[str]:
@@ -129,7 +132,10 @@ class ShotHistogram:
     """Counts per observed bitstring for a multi-shot run.
 
     Construction checks that each count is a non-negative integer (by
-    ``operator.index``, so 0.5 is refused) and that they sum to ``shots``.
+    ``operator.index``, so 0.5 is refused, and not a bool), that they sum to
+    ``shots`` (an integer by ``operator.index``), and the seed as
+    :func:`check_sampling` does; ``shots`` and ``seed`` are kept as the ints
+    those checks return.
     """
 
     counts: dict[str, int]
@@ -137,14 +143,21 @@ class ShotHistogram:
     seed: int
 
     def __post_init__(self):
+        values = self.counts.values()
+        # operator.index reads a bool as 0 or 1, which json would print as true or false.
+        if {bool, np.bool_} & set(map(type, values)):
+            raise ProbabilityError("histogram counts must be integers")
         try:
-            counts = list(map(operator.index, self.counts.values()))
+            counts = list(map(operator.index, values))
         except TypeError:
             raise ProbabilityError("histogram counts must be integers") from None
         if min(counts, default=0) < 0:
             raise ProbabilityError("histogram counts must not be negative")
-        if sum(counts) != self.shots:
+        shots = _index(self.shots)
+        if shots is None or sum(counts) != shots:
             raise ProbabilityError("histogram counts must sum to the shot total")
+        object.__setattr__(self, "shots", shots)
+        object.__setattr__(self, "seed", _check_seed(self.seed))
 
     def render(self, fmt: str) -> str:
         """The histogram as ``qsim run`` prints it, in label order."""
@@ -278,6 +291,14 @@ def _index(value):
         return None
 
 
+def _check_seed(seed) -> int:
+    """``seed`` as a Python int by ``operator.index``, if it lies in 0..``MAX_SEED``."""
+    seed = _index(seed)
+    if seed is None or not 0 <= seed <= MAX_SEED:
+        raise QsimError("seed must be an unsigned 64-bit integer")
+    return seed
+
+
 def check_sampling(shots: int, seed: int) -> tuple[int, int]:
     """``shots`` and ``seed`` as Python ints: at least one shot, an unsigned 64-bit seed.
 
@@ -286,12 +307,10 @@ def check_sampling(shots: int, seed: int) -> tuple[int, int]:
     holds on both backends. Each message starts with the name of what it
     rejects, which the command line prefixes with ``--`` to name its flag.
     """
-    shots, seed = _index(shots), _index(seed)
+    shots = _index(shots)
     if shots is None or shots < 1:
         raise ProbabilityError("shots must be at least 1")
-    if seed is None or not 0 <= seed <= MAX_SEED:
-        raise QsimError("seed must be an unsigned 64-bit integer")
-    return shots, seed
+    return shots, _check_seed(seed)
 
 
 def sample(circuit: Circuit, shots: int, seed: int, *, workers: int = 1) -> ShotHistogram:

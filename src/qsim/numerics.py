@@ -4,31 +4,23 @@ Matrices are plain ``numpy.ndarray`` values in complex128, row-major, and
 treated as immutable by every routine here (inputs are never written to,
 outputs are fresh arrays). The module provides the handful of primitives
 the rest of the package is built on: coercion to a checked matrix,
-unitarity/Hermiticity predicates, a cyclic-Jacobi Hermitian eigensolver
-(the tests' reference), and the spectral matrix exponential
-exp(-i*H*theta). The tests' brute-force products, Kronecker products and
-adjoints live in ``tests/oracles.py``.
+unitarity/Hermiticity predicates, the one Hermitian eigendecomposition
+(LAPACK ``eigh``), and the spectral matrix exponential exp(-i*H*theta)
+built from it. The tests' brute-force products, Kronecker products,
+adjoints and cyclic-Jacobi eigensolver live in ``tests/oracles.py``.
 
 Comparisons use absolute max-norm with a default tolerance of 1e-10,
-overridable per call.
+overridable per call; :func:`is_hermitian` at that default is the one
+Hermiticity check of the package.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    DimensionMismatchError,
-    NotHermitianError,
-    NotSquareError,
-)
+from .errors import DimensionMismatchError, NotHermitianError, NotSquareError
 
 DEFAULT_TOL = 1e-10
-
-# Jacobi sweep budget and off-diagonal Frobenius target.
-JACOBI_MAX_SWEEPS = 100
-JACOBI_OFF_TOL = 1e-12
 
 
 def as_matrix(a) -> np.ndarray:
@@ -83,76 +75,17 @@ class EigenDecomposition:
         return (v * self.eigenvalues) @ v.conj().T
 
 
-def eig_hermitian(
-    a,
-    *,
-    max_sweeps: int = JACOBI_MAX_SWEEPS,
-    off_tol: float = JACOBI_OFF_TOL,
-) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
-
-    Each pivot (p, q) is annihilated by a 2x2 unitary built from a phase
-    factor (absorbing the complex argument of a[p, q]) and a real rotation.
-    Sweeps repeat until the off-diagonal Frobenius norm falls below
-    ``off_tol`` (scaled by the matrix norm), or :class:`ConvergenceError`
-    is raised after ``max_sweeps``.
-    """
+def eig_hermitian(a) -> EigenDecomposition:
+    """Eigendecomposition of a Hermitian matrix by LAPACK ``eigh``."""
     m = _square(a)
-    if not is_hermitian(m, DEFAULT_TOL):
-        raise NotHermitianError("eig_hermitian requires a Hermitian matrix")
-    n = m.shape[0]
-    # Symmetrize so roundoff in the input cannot leak into the iteration.
-    work = (m + m.conj().T) / 2.0
-    vecs = np.eye(n, dtype=np.complex128)
-    if n == 1:
-        return EigenDecomposition(np.array([work[0, 0].real]), vecs)
-
-    threshold = off_tol * max(1.0, float(np.linalg.norm(work)))
-    converged = False
-    for _ in range(max_sweeps):
-        off = np.linalg.norm(work - np.diag(np.diagonal(work)))
-        if off <= threshold:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = work[p, q]
-                g = abs(apq)
-                if g == 0.0:
-                    continue
-                phase = apq / g
-                tau = (work[q, q].real - work[p, p].real) / (2.0 * g)
-                sign = 1.0 if tau >= 0.0 else -1.0
-                t = -sign / (abs(tau) + np.hypot(tau, 1.0))
-                c = 1.0 / np.hypot(t, 1.0)
-                s = t * c
-                # Columns: U = diag(1, conj(phase)) @ [[c, -s], [s, c]]
-                u2 = np.array(
-                    [[c, -s], [s * np.conj(phase), c * np.conj(phase)]],
-                    dtype=np.complex128,
-                )
-                work[:, [p, q]] = work[:, [p, q]] @ u2
-                work[[p, q], :] = u2.conj().T @ work[[p, q], :]
-                vecs[:, [p, q]] = vecs[:, [p, q]] @ u2
-                work[p, q] = 0.0
-                work[q, p] = 0.0
-    else:
-        converged = np.linalg.norm(work - np.diag(np.diagonal(work))) <= threshold
-    if not converged:
-        raise ConvergenceError(
-            f"Jacobi failed to reach off-diagonal norm {threshold:g} "
-            f"in {max_sweeps} sweeps"
-        )
-
-    values = np.real(np.diagonal(work)).copy()
-    order = np.argsort(values, kind="stable")
-    return EigenDecomposition(values[order], vecs[:, order])
+    if not is_hermitian(m):
+        raise NotHermitianError("expected a Hermitian matrix")
+    values, vectors = np.linalg.eigh(m)
+    return EigenDecomposition(values, vectors)
 
 
 def matexp_skew_hermitian(h, theta: float) -> np.ndarray:
-    """Unitary exp(-i * h * theta) for Hermitian ``h`` via LAPACK ``eigh``."""
-    m = _square(h)
-    if not is_hermitian(m, DEFAULT_TOL):
-        raise NotHermitianError("matexp_skew_hermitian requires a Hermitian matrix")
-    values, v = np.linalg.eigh(m)
-    return (v * np.exp(-1j * values * theta)) @ v.conj().T
+    """Unitary exp(-i * h * theta) for Hermitian ``h`` from :func:`eig_hermitian`."""
+    d = eig_hermitian(h)
+    v = d.eigenvectors
+    return (v * np.exp(-1j * d.eigenvalues * theta)) @ v.conj().T

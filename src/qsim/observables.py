@@ -13,7 +13,6 @@ from . import numerics
 from .errors import DimensionMismatchError, NotHermitianError
 from .qstate import DensityMatrix, StateVector
 
-HERMITIAN_TOL = 1e-10
 IMAG_TOL = 1e-10
 
 
@@ -24,7 +23,7 @@ class Observable:
 
     def __init__(self, label: str, matrix):
         m = numerics.as_matrix(matrix).copy()
-        if not numerics.is_hermitian(m, HERMITIAN_TOL):
+        if not numerics.is_hermitian(m):
             raise NotHermitianError(f"observable {label!r} must be Hermitian")
         m.setflags(write=False)
         object.__setattr__(self, "label", label)

@@ -79,7 +79,7 @@ class DensityMatrix:
         if m.shape[0] != m.shape[1]:
             raise DimensionMismatchError(f"density matrix must be square, got {m.shape}")
         n = _num_qubits_for(m.shape[0])
-        if numerics.max_abs(m - m.conj().T) > NORM_TOL:
+        if not numerics.is_hermitian(m):
             raise NotHermitianError("density matrix must be Hermitian within 1e-10")
         trace = complex(np.trace(m))
         if abs(trace - 1.0) > TRACE_TOL:

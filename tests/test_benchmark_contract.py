@@ -11,7 +11,8 @@ import pathlib
 
 import numpy as np
 
-from qsim import circuit, cli, entangle, evolve, measure, qstate
+from oracles import jacobi_eig_hermitian
+from qsim import circuit, cli, entangle, evolve, measure, numerics, qstate
 
 SPANS_FILE = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -81,3 +82,28 @@ def test_analysis_runs_under_the_tracer_wrappers(monkeypatch, rng, random_state,
     np.testing.assert_array_equal(traced[2], plain[2])
     np.testing.assert_array_equal(traced[3], plain[3])
     assert {"entangle.entropy", "entangle.is_entangled", "evolve.evolve"} <= {span[1] for span in tracer.spans}
+
+
+def test_analysis_lowest_eigenvalue_matches_the_jacobi_oracle(rng):
+    # A 16x16 mixture of four random pure states, as the benchmark's analysis input builds it.
+    dim = 16
+    vectors = rng.normal(size=(4, dim)) + 1j * rng.normal(size=(4, dim))
+    weights = rng.dirichlet(np.ones(4))
+    mixture = sum(w * np.outer(v, v.conj()) / np.vdot(v, v).real for w, v in zip(weights, vectors))
+    lowest = numerics.eig_hermitian(mixture).eigenvalues[0]
+    assert abs(lowest - jacobi_eig_hermitian(mixture).eigenvalues[0]) <= 1e-10
+
+
+def test_evolve_records_an_eig_hermitian_span(monkeypatch, rng, random_state, random_hermitian):
+    h = evolve.Hamiltonian(random_hermitian(rng, 16))
+    psi = random_state(rng, 4)
+    plain = evolve.evolve(h, 0.7, psi).amplitudes
+    spans = load_spans()
+    tracer = spans.Tracer()
+    for module_name, attr, name in spans.TARGETS:
+        module = importlib.import_module(f"qsim.{module_name}")
+        monkeypatch.setattr(module, attr, tracer.wrap(getattr(module, attr), name))
+    np.testing.assert_array_equal(evolve.evolve(h, 0.7, psi).amplitudes, plain)
+    names = [span[1] for span in tracer.spans]
+    assert names == ["evolve.evolve", "numerics.eig_hermitian"]
+    assert tracer.spans[1][4] == 0  # the eigendecomposition is inside evolve's span

@@ -5,7 +5,8 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from qsim import entangle, numerics
+from oracles import jacobi_eig_hermitian
+from qsim import entangle
 from qsim.algorithms import bell_circuit
 from qsim.circuit import apply
 from qsim.entangle import Bipartition, entanglement_entropy, is_entangled, partial_trace
@@ -163,7 +164,7 @@ def every_bipartition(n):
 def density_oracle(state, part):
     """Entropy and purity of the reduction, from the density matrix and Jacobi."""
     reduced = partial_trace(to_density(state), part.subsystem_a)
-    eigs = numerics.eig_hermitian(reduced.matrix).eigenvalues
+    eigs = jacobi_eig_hermitian(reduced.matrix).eigenvalues
     eigs = eigs[eigs > entangle.ENTROPY_EIGENVALUE_CUTOFF]
     return float(-np.sum(eigs * np.log2(eigs))), purity(reduced)
 

@@ -141,6 +141,16 @@ class TestProbabilities:
         with pytest.raises(ProbabilityError):
             OutcomeDistribution(2, [1.0, 0.0])
 
+    @pytest.mark.parametrize("num_qubits", [-1, 2.5, "1", None])
+    def test_distribution_num_qubits_is_a_non_negative_integer(self, num_qubits):
+        with pytest.raises(ProbabilityError, match="num_qubits"):
+            OutcomeDistribution(num_qubits, [1.0])
+
+    def test_distribution_keeps_num_qubits_as_an_int(self):
+        dist = OutcomeDistribution(np.int64(1), [0.5, 0.5])
+        assert type(dist.num_qubits) is int
+        assert dist.render("json").startswith('{\n  "num_qubits": 1,\n')
+
     @pytest.mark.parametrize(
         "probs", [[np.nan, np.nan], [np.nan, 1.0], [1.0, np.nan], [np.inf, 0.0], [1.0, -np.inf]]
     )
@@ -424,6 +434,28 @@ class TestSerialization:
     def test_histogram_counts_are_non_negative_integers(self, counts):
         with pytest.raises(ProbabilityError):
             ShotHistogram(counts=counts, shots=1, seed=0)
+
+    @pytest.mark.parametrize("count", [True, np.True_])
+    def test_histogram_refuses_bool_counts(self, count):
+        with pytest.raises(ProbabilityError, match="must be integers"):
+            ShotHistogram(counts={"0": count}, shots=1, seed=0)
+
+    @pytest.mark.parametrize("seed", [2.5, -3, 1 << 64, "1", None])
+    def test_histogram_seed_is_an_unsigned_64_bit_integer(self, seed):
+        with pytest.raises(QsimError, match="seed must be an unsigned 64-bit integer"):
+            ShotHistogram(counts={"0": 1}, shots=1, seed=seed)
+
+    def test_histogram_shots_is_an_integer(self):
+        with pytest.raises(ProbabilityError, match="shot total"):
+            ShotHistogram(counts={"0": 1}, shots=1.0, seed=0)
+        hist = ShotHistogram(counts={"0": 1}, shots=True, seed=0)
+        assert type(hist.shots) is int
+        assert hist.render("json").startswith('{\n  "shots": 1,\n')
+
+    def test_histogram_keeps_the_seed_as_an_int(self):
+        hist = ShotHistogram(counts={"0": 1}, shots=1, seed=np.uint64((1 << 64) - 1))
+        assert type(hist.seed) is int
+        assert '"seed": 18446744073709551615,' in hist.render("json")
 
     def test_histogram_accepts_integer_likes(self):
         hist = ShotHistogram(counts={"0": np.int64(2), "1": 0}, shots=2, seed=0)

