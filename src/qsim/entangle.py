@@ -1,20 +1,35 @@
 """Bipartite entanglement diagnostics for pure states.
 
 A pure state is entangled across a bipartition exactly when its reduced
-density matrix is mixed. That reduction's spectrum is the squared Schmidt
-coefficients, the squared singular values of the amplitudes arranged as a
-2**|A| x 2**|B| matrix: reduced purity classifies, and the base-2 von
-Neumann entropy quantifies (0 for product states, min(|A|, |B|) at most).
+density matrix is mixed. With the amplitudes arranged as the 2**|A| x
+2**|B| matrix M, the reductions onto the two sides are M M^dagger and
+(M^dagger M)^T, which share their nonzero spectrum, the squared Schmidt
+coefficients. Both diagnostics use the Gram matrix of the smaller side, at
+most 2**(n // 2) square, so no 4**n density is built: the reduced purity,
+its squared Frobenius norm, classifies, and the base-2 von Neumann entropy
+of its eigenvalues quantifies (0 for product states, min(|A|, |B|) at most).
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SubsystemError
+from .errors import QsimError, SubsystemError
 from .qstate import DensityMatrix, StateVector, adopt_density
 
 ENTROPY_EIGENVALUE_CUTOFF = 1e-12
+
+
+def _qubit(label) -> int:
+    """A qubit label as a Python int by ``operator.index``; a bool or a float is refused."""
+    if not isinstance(label, (bool, np.bool_)):
+        try:
+            return operator.index(label)
+        except TypeError:
+            pass
+    raise SubsystemError(f"qubit labels must be integers, got {label!r}")
+
 
 @dataclass(frozen=True)
 class Bipartition:
@@ -24,8 +39,8 @@ class Bipartition:
     subsystem_b: tuple[int, ...]
 
     def __post_init__(self):
-        a = tuple(sorted(int(q) for q in self.subsystem_a))
-        b = tuple(sorted(int(q) for q in self.subsystem_b))
+        a = tuple(sorted(map(_qubit, self.subsystem_a)))
+        b = tuple(sorted(map(_qubit, self.subsystem_b)))
         n = len(a) + len(b)
         if not a or not b:
             raise SubsystemError("both sides of a bipartition must be non-empty")
@@ -39,7 +54,7 @@ class Bipartition:
     @classmethod
     def split(cls, num_qubits: int, subsystem_a) -> "Bipartition":
         """Bipartition with the given qubits on side A, the rest on side B."""
-        a = set(int(q) for q in subsystem_a)
+        a = set(map(_qubit, subsystem_a))
         b = tuple(q for q in range(num_qubits) if q not in a)
         return cls(tuple(sorted(a)), b)
 
@@ -51,7 +66,7 @@ class Bipartition:
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """Reduced density matrix over ``keep`` (ascending qubit order preserved)."""
     n = rho.num_qubits
-    requested = [int(q) for q in keep]
+    requested = [_qubit(q) for q in keep]
     kept = sorted(set(requested))
     if len(kept) != len(requested):
         raise SubsystemError(f"kept qubits must be distinct, got {tuple(requested)}")
@@ -71,8 +86,8 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     return adopt_density(reduced.reshape(dim, dim))
 
 
-def _schmidt_weights(state: StateVector, part: Bipartition) -> np.ndarray:
-    """Squared Schmidt coefficients of ``state`` across ``part``, descending."""
+def _reduced(state: StateVector, part: Bipartition) -> np.ndarray:
+    """Gram matrix of the smaller side of ``part``: a reduction of ``state`` up to transpose."""
     if part.num_qubits != state.num_qubits:
         raise SubsystemError(
             f"bipartition covers {part.num_qubits} qubits, state has {state.num_qubits}"
@@ -80,7 +95,14 @@ def _schmidt_weights(state: StateVector, part: Bipartition) -> np.ndarray:
     tensor = state.amplitudes.reshape((2,) * state.num_qubits)
     split = tensor.transpose(part.subsystem_a + part.subsystem_b)
     matrix = split.reshape(1 << len(part.subsystem_a), -1)
-    return np.linalg.svd(matrix, compute_uv=False) ** 2
+    if len(part.subsystem_a) <= len(part.subsystem_b):
+        return matrix @ matrix.conj().T
+    return matrix.conj().T @ matrix
+
+
+def _schmidt_weights(state: StateVector, part: Bipartition) -> np.ndarray:
+    """Squared Schmidt coefficients of ``state`` across ``part``, descending."""
+    return np.linalg.eigvalsh(_reduced(state, part))[::-1]
 
 
 def entanglement_entropy(state: StateVector, part: Bipartition) -> float:
@@ -91,5 +113,13 @@ def entanglement_entropy(state: StateVector, part: Bipartition) -> float:
 
 
 def is_entangled(state: StateVector, part: Bipartition, tol: float = 1e-9) -> bool:
-    """True iff the reduction onto side A is mixed (purity below 1 - tol)."""
-    return float(np.sum(_schmidt_weights(state, part) ** 2)) < 1.0 - tol
+    """True iff the reduction onto side A is mixed (purity below 1 - tol).
+
+    ``tol`` must be a finite number in [0, 1). The purity Tr(rho_A^2) is the
+    squared Frobenius norm of the Hermitian reduced matrix, so no
+    decomposition runs.
+    """
+    if not 0.0 <= tol < 1.0:
+        raise QsimError(f"tol must be a finite number in [0, 1), got {tol!r}")
+    gram = _reduced(state, part)
+    return float(np.vdot(gram, gram).real) < 1.0 - tol

@@ -2,10 +2,13 @@
 
 Dense products, Kronecker products and adjoints with explicit shape checks,
 a cyclic-Jacobi Hermitian eigensolver, a two-qubit gate's action on one
-basis ket, and the ``qsim run`` json shape from json's pure-Python indenting
-encoder. The library's paths never build these: they run gates in place
-through ``qsim.circuit``, decompose Hermitian matrices with LAPACK ``eigh``
-in ``qsim.numerics.eig_hermitian`` and write json with the C encoder.
+basis ket, the Schmidt spectrum from singular values, Grover's loop as the
+textbook writes it, and the ``qsim run`` json shape from json's pure-Python
+indenting encoder. The library's paths never build these: they run gates in
+place through ``qsim.circuit``, decompose Hermitian matrices with LAPACK
+``eigh`` in ``qsim.numerics.eig_hermitian``, take the Schmidt spectrum from
+the smaller reduced matrix, run Grover without per-step objects and write
+json with the C encoder.
 """
 
 import json
@@ -148,3 +151,28 @@ def apply_two_qubit_truth_table(gate: Gate, basis_label: str) -> StateVector:
 def indented_json(header: dict, key: str, rows: dict) -> str:
     """``header``, then ``rows`` under ``key``, as ``json.dumps(indent=2)``."""
     return json.dumps({**header, key: rows}, indent=2) + "\n"
+
+
+def svd_schmidt_weights(state: StateVector, subsystem_a) -> np.ndarray:
+    """Squared singular values of the amplitudes as a 2^|A| x 2^|B| matrix, descending."""
+    n = state.num_qubits
+    side_a = sorted(subsystem_a)
+    order = side_a + [q for q in range(n) if q not in side_a]
+    matrix = state.amplitudes.reshape((2,) * n).transpose(order).reshape(1 << len(side_a), -1)
+    return np.linalg.svd(matrix, compute_uv=False) ** 2
+
+
+def grover_textbook(num_qubits: int, marked: int, iterations: int):
+    """Grover's loop step by step: the success trajectory and the final amplitudes.
+
+    Each step negates the marked amplitude, then maps every amplitude a to
+    2 * mean - a with ``ndarray.mean``, and records ``|a_marked|^2`` as it goes.
+    """
+    dim = 1 << num_qubits
+    amps = np.full(dim, dim**-0.5, dtype=np.complex128)
+    trajectory = [float(abs(amps[marked]) ** 2)]
+    for _ in range(iterations):
+        amps[marked] = -amps[marked]
+        amps = 2 * amps.mean() - amps
+        trajectory.append(float(abs(amps[marked]) ** 2))
+    return trajectory, amps

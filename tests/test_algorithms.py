@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracles import grover_textbook
 from qsim.algorithms import (
     GroverSpec,
     bell_circuit,
@@ -59,6 +60,19 @@ class TestGroverSpec:
         with pytest.raises(QsimError):
             GroverSpec(2, 0, -1)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [(3, 0, 1.5), (3.0, 0, 1), (3, 1.5, 1), (3, 0, True), (3, True, 1), (True, 0, 1), (3, 0, "2")],
+    )
+    def test_rejects_non_integers(self, fields):
+        with pytest.raises(QsimError, match="must be an integer"):
+            GroverSpec(*fields)
+
+    def test_stores_numpy_integers_as_ints(self):
+        spec = GroverSpec(np.int64(3), np.uint8(5), np.int32(2))
+        assert (spec.num_qubits, spec.marked, spec.iterations) == (3, 5, 2)
+        assert {type(spec.num_qubits), type(spec.marked), type(spec.iterations)} == {int}
+
 
 class TestGroverRun:
     def test_two_qubits_one_iteration_is_certain(self):
@@ -108,6 +122,22 @@ class TestGroverRun:
         )
 
 
+class TestTextbookOracle:
+    """The loop matches the step-by-step textbook loop to the bit."""
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_trajectory_and_final_state_are_identical(self, n):
+        dim = 1 << n
+        for marked in sorted({0, 1, dim // 3, dim - 1}):
+            for iterations in sorted({0, 1, grover_optimal_iterations(n)}):
+                trajectory, final = grover_textbook(n, marked, iterations)
+                spec = GroverSpec(n, marked, iterations)
+                assert grover_success_trajectory(spec) == trajectory, (marked, iterations)
+                result = grover_run(spec)
+                assert result.success_probability == trajectory[-1]
+                assert np.array_equal(result.final_state.amplitudes, final)
+
+
 class TestClosedForm:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_trajectory_matches_closed_form(self, n):
@@ -133,6 +163,11 @@ class TestClosedForm:
     def test_optimal_iterations_requires_positive_n(self):
         with pytest.raises(QsimError):
             grover_optimal_iterations(0)
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, "4"])
+    def test_optimal_iterations_requires_an_integer(self, n):
+        with pytest.raises(QsimError, match="must be an integer"):
+            grover_optimal_iterations(n)
 
     @pytest.mark.parametrize("n", [2049, 2100, 5000])
     def test_optimal_iterations_beyond_the_float_range(self, n):

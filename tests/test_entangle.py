@@ -5,12 +5,12 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from oracles import jacobi_eig_hermitian
+from oracles import jacobi_eig_hermitian, svd_schmidt_weights
 from qsim import entangle
 from qsim.algorithms import bell_circuit
 from qsim.circuit import apply
 from qsim.entangle import Bipartition, entanglement_entropy, is_entangled, partial_trace
-from qsim.errors import SubsystemError
+from qsim.errors import QsimError, SubsystemError
 from qsim.qstate import (
     basis_state,
     from_amplitudes,
@@ -51,6 +51,21 @@ class TestBipartition:
         with pytest.raises(SubsystemError):
             Bipartition((0,), (2,))
 
+    @pytest.mark.parametrize("label", [0.5, 1.0, True, np.True_, "0"])
+    def test_rejects_non_integer_labels(self, label):
+        for build in (
+            lambda: Bipartition((label,), (1,)),
+            lambda: Bipartition((0,), (label,)),
+            lambda: Bipartition.split(2, [label]),
+        ):
+            with pytest.raises(SubsystemError, match="must be integers"):
+                build()
+
+    def test_stores_numpy_labels_as_ints(self):
+        part = Bipartition.split(3, [np.int64(2)])
+        assert part == Bipartition((2,), (0, 1))
+        assert {type(q) for q in part.subsystem_a + part.subsystem_b} == {int}
+
 
 class TestPartialTrace:
     def test_bell_reduction_is_maximally_mixed(self):
@@ -72,6 +87,11 @@ class TestPartialTrace:
     def test_out_of_range_rejected(self):
         with pytest.raises(SubsystemError):
             partial_trace(to_density(BELL), [2])
+
+    @pytest.mark.parametrize("label", [0.5, 1.0, True, "0"])
+    def test_non_integer_label_rejected(self, label):
+        with pytest.raises(SubsystemError, match="must be integers"):
+            partial_trace(to_density(BELL), [label])
 
     @pytest.mark.parametrize("n", range(2, 6))
     def test_matches_sum_over_traced_basis_states(self, n, rng, random_state):
@@ -155,6 +175,25 @@ class TestIsEntangled:
         out = apply(bell_circuit(), zero_state(2))
         assert is_entangled(out, SPLIT_2Q, 1e-9)
 
+    @pytest.mark.parametrize("tol", [-1.0, -1e-300, 1.0, 1.5, float("nan"), float("inf"), float("-inf")])
+    def test_rejects_tol_outside_the_unit_interval(self, tol):
+        with pytest.raises(QsimError, match="tol"):
+            is_entangled(zero_state(2), SPLIT_2Q, tol)
+
+    def test_zero_tol_accepted(self):
+        assert not is_entangled(zero_state(2), SPLIT_2Q, 0.0)
+        assert is_entangled(BELL, SPLIT_2Q, 0.0)
+
+    def test_runs_no_decomposition(self, monkeypatch, rng, random_state):
+        def refuse(*args, **kwargs):
+            raise AssertionError("is_entangled ran a decomposition")
+
+        for name in ("svd", "eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        assert is_entangled(BELL, SPLIT_2Q)
+        assert not is_entangled(zero_state(3), Bipartition.split(3, [1]))
+        assert is_entangled(random_state(rng, 7), Bipartition.split(7, [0, 4, 5, 6]))
+
 
 def every_bipartition(n):
     for mask in range(1, (1 << n) - 1):
@@ -182,6 +221,20 @@ class TestSchmidtSpectrum:
                 assert float(np.sum(weights**2)) == pytest.approx(reduced_purity, abs=1e-9)
                 assert is_entangled(state, part) == (reduced_purity < 1.0 - 1e-9)
                 assert is_entangled(state, part) == (state is not product)
+
+    @pytest.mark.parametrize("side_a", [(0, 2, 5, 7, 9), (1, 2, 3, 6, 8, 10)])
+    def test_matches_svd_oracle_at_eleven_qubits(self, side_a, rng, random_state):
+        part = Bipartition.split(11, side_a)
+        for _ in range(5):
+            state = random_state(rng, 11)
+            weights = svd_schmidt_weights(state, side_a)
+            kept = weights[weights > entangle.ENTROPY_EIGENVALUE_CUTOFF]
+            entropy = float(-np.sum(kept * np.log2(kept)))
+            assert entanglement_entropy(state, part) == pytest.approx(entropy, abs=1e-12)
+            gram = entangle._reduced(state, part)
+            assert gram.shape == (32, 32)
+            assert float(np.vdot(gram, gram).real) == pytest.approx(float(np.sum(weights**2)), abs=1e-12)
+            np.testing.assert_allclose(entangle._schmidt_weights(state, part), weights, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("fn", [entanglement_entropy, is_entangled])
     def test_no_density_matrix_is_built(self, fn, rng, random_state):
