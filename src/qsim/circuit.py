@@ -5,45 +5,41 @@ gate bound to distinct wires (for CNOT, wires[0] is the control).
 
 One gate engine replaces M by U @ M in place, acting on the row bits of M
 only: O(size of M) per pass, no 2**n x 2**n gate matrix, and no second
-M-sized buffer. Its one scratch is a tile of ``TILE`` entries; each kernel
-works one piece of at most a tile at a time. An M no larger than the tile
-is one piece, and where a kernel below copies a piece back from the tile,
-M and the tile trade places instead. :func:`_schedule` makes the passes:
-an instruction moves back past passes on other wires, which commute with
-it, and joins the latest one it fits, a run for kernel 1 or a monomial run
-above it on at most ``FOLD_WIRES`` wires (fewer on a small M), or is alone.
-Every fused run is folded by the engine on the identity of its wires
-(:func:`_fold`); a diagonal result is one in-place multiply, a monomial one
-block moves (kernel 3), a trailing dense one a zgemm (kernel 1).
+M-sized buffer. It plans, then runs. In :func:`_schedule` an instruction
+moves back past passes on other wires, which commute with it, and joins
+the latest one it fits, a run on the last ``BLOCK_BITS`` bits or a
+monomial run above them on at most ``FOLD_WIRES`` wires (fewer on a small
+M), or is alone. :func:`_plan` folds each run once, by the engine on the
+identity of its wires (:func:`_fold`), into a (kernel, wires, operand)
+pass. :func:`_run`, the one place a kernel is picked, works one piece of
+at most a ``TILE``-entry scratch tile at a time. An M no larger than the
+tile is one piece; where a kernel would copy it back, the two trade places.
 
-1. Fused trailing block. A dense fold of a run on the last ``BLOCK_BITS``
-   bits of M is one zgemm per tile of M's rows, viewed as (rows,
-   2**BLOCK_BITS), into the tile and copied back. There a strided view
-   would give numpy one inner loop per 2-16 entries.
-2. Broadcast matmul. A lone dense 1-qubit gate (H, user gates) on any
-   other wire, whose inner stride s is then at least 2**BLOCK_BITS, is one
-   (2, 2) @ (outer, 2, s) matmul per piece, split along outer, or along s
-   when one outer slice outgrows the tile, into the tile and copied back.
-3. Block loop. A monomial map (diagonal, permutation, phase-permutation)
-   re-phases or moves each block one piece at a time: every move is one
-   ``np.multiply(phase, src, out=dst)``, phase 1 included. numpy proves the
-   interleaved views of one buffer disjoint and makes no copy; only the
-   first block's piece of a cycle is held in the tile. The map is a lone
-   gate's or a folded run's. A lone dense gate on two or more wires writes
-   the output blocks of each piece into the tile and copies them back.
+- "scale", a run that folds to a diagonal: one in-place broadcast multiply.
+- "zgemm", a trailing run that folds to a dense matrix (kernel 1): one
+  zgemm per tile of M's rows of 2**BLOCK_BITS, where a strided view gives
+  numpy one inner loop per 2-16 entries, into the tile and copied back.
+- "dense" on one wire, above the block and so of stride s >= 2**BLOCK_BITS
+  (kernel 2): one (2, 2) @ (outer, 2, s) matmul per piece, split along
+  outer, or along s when one outer slice outgrows the tile, into the tile
+  and copied back.
+- "move", a lone monomial gate or a run that folds to a monomial, and
+  "dense" on more wires (kernel 3): a move re-phases or moves each block
+  one piece at a time, each one ``np.multiply(phase, src, out=dst)``, phase
+  1 included, which numpy makes with no copy; only the first block's piece
+  of a cycle is held in the tile. A dense pass writes the output blocks of
+  each piece into the tile and copies them back.
 
-:func:`apply` runs the engine on a copy of a state vector, :func:`unitary`
-on the identity, and :func:`apply_density` twice on a copy of rho: U rho U†
-= (U (U rho)†)†, exact for any rho, with the conjugate transpose after each
-pass done in place, one pair of square tiles at a time. In those two
-passes, M has 2n bits and the circuit acts on the first n, so from n =
-BLOCK_BITS on no wire reaches the trailing block and they use kernels 2 and
-3 only. Outputs come from valid inputs by unitary steps and are not
-validated again.
+:func:`apply` runs a plan on n bits on a copy of a state vector,
+:func:`unitary` one on 2n bits on the identity, and :func:`apply_density`
+one on 2n bits twice on a copy of rho, each run followed by an in-place
+conjugate transpose by pairs of square tiles: U rho U† = (U (U rho)†)†,
+exact for any rho. From n = BLOCK_BITS on, the first n of 2n bits never
+reach the trailing block. Outputs come from valid inputs by unitary steps
+and are not validated again.
 
-:func:`embed` and :func:`unitary_of` build full matrices explicitly and
-exist as the brute-force oracle the engine is tested against; no library
-or command-line path calls them.
+:func:`embed` and :func:`unitary_of` build full matrices explicitly: the
+brute-force oracle the engine is tested against, on no library or CLI path.
 """
 
 import itertools
@@ -222,49 +218,15 @@ def _move(buf, tile, cycles, wires) -> None:
                 np.multiply(phase, src, out=dst)
 
 
-def _apply_gate(buf, tile, gate: Gate, wires):
-    """Apply ``gate`` to ``wires`` of the flat ``buf`` (kernels 2 and 3 of the module docstring).
-
-    ``tile`` is scratch of at least 2**(arity + 1) entries. A wider dense
-    gate writes the output blocks of a piece next to one scratch block; row
-    r is g[r,0]*b0 + g[r,1]*b1 + ..., summed left to right. Returns the
-    (buffer, tile) pair of :func:`_through`.
-    """
-    m = gate.arity
-    if gate.cycles is None and m == 1:
-        pairs = buf.reshape(-1, 2, buf.size >> (wires[0] + 1))
-        # A piece keeps both rows of the gate: it splits (outer, stride) only.
-        cuts = _pieces(pairs.shape[::2], tile.size >> 1)
-        pieces = [p[:1] + (slice(None),) + p[1:] for p in cuts]
-        return _through(buf, tile, pairs, pieces, lambda src, out: np.matmul(gate.matrix, src, out=out))
-    if gate.cycles is not None:
-        _move(buf, tile, gate.cycles, wires)
-        return buf, tile
-    blocks = _blocks(buf, wires)
-    bits = list(itertools.product((0, 1), repeat=m))
-
-    def dense(src, out):
-        ins, outs = [src[b] for b in bits], out.reshape((len(bits),) + src.shape[m:])
-        scratch = tile[src.size : src.size + ins[0].size].reshape(ins[0].shape)
-        for r, row in enumerate(gate.matrix):
-            np.multiply(row[0], ins[0], out=outs[r])
-            for c in range(1, len(ins)):
-                np.multiply(row[c], ins[c], out=scratch)
-                np.add(outs[r], scratch, out=outs[r])
-
-    # A piece's output blocks and one scratch block fill at most the tile.
-    pieces = [(slice(None),) * m + p for p in _pieces(blocks.shape[m:], tile.size >> (m + 1))]
-    return _through(buf, tile, blocks, pieces, dense)
+def _lone(gate: Gate, wires) -> tuple:
+    """The pass of ``gate`` alone on ``wires``: block moves of its cycles, or its dense matrix."""
+    return ("dense", wires, gate.matrix) if gate.cycles is None else ("move", wires, gate.cycles)
 
 
 def _fold(run, wires) -> np.ndarray:
-    """The 2**k x 2**k unitary of ``run`` on the k sorted ``wires``: the engine on I."""
-    m = np.eye(1 << len(wires), dtype=np.complex128).reshape(-1)
-    # Scratch the size of m, far smaller than the engine's tile.
-    tile = np.empty(m.size, dtype=m.dtype)
-    for instr in run:
-        m, tile = _apply_gate(m, tile, instr.gate, [wires.index(w) for w in instr.wires])
-    return m.reshape(1 << len(wires), 1 << len(wires))
+    """The 2**k x 2**k unitary of ``run`` on the k sorted ``wires``: its lone passes on I."""
+    plan = [_lone(instr.gate, [wires.index(w) for w in instr.wires]) for instr in run]
+    return _run(plan, np.eye(1 << len(wires), dtype=np.complex128))
 
 
 def _schedule(instructions, low: int, width: int) -> list:
@@ -291,35 +253,73 @@ def _schedule(instructions, low: int, width: int) -> list:
     return items
 
 
-def _rows(circuit: Circuit, buf):
-    """U @ buf: the circuit on the row bits of ``buf``, one pass per item of :func:`_schedule`.
+def _plan(circuit: Circuit, nbits: int) -> list:
+    """The circuit on the first of ``nbits`` row bits: one (kernel, wires, operand) pass per item of :func:`_schedule`.
 
-    The tile holds ``min(TILE, buf.size)`` entries, raised to a row of the
-    fold and two entries per block of the widest gate should that be
-    smaller. The result is ``buf`` or the tile, shaped like ``buf``.
+    A lone gate's pass is :func:`_lone`'s; a fused run's holds its fold's
+    diagonal, its monomial cycles, or the transpose of its dense block.
     """
-    flat = buf.reshape(-1)
-    nbits = flat.size.bit_length() - 1
-    bits = min(BLOCK_BITS, nbits)
-    low = nbits - bits
-    widest = max([bits] + [instr.gate.arity + 1 for instr in circuit.instructions])
-    tile = np.empty(max(min(TILE, flat.size), 1 << widest), dtype=flat.dtype)
+    low = nbits - min(BLOCK_BITS, nbits)
+    plan = []
     for kind, wires, run in _schedule(circuit.instructions, low, min(FOLD_WIRES, nbits - FOLD_BLOCK_BITS)):
         if kind != "block" and len(run) == 1:
-            flat, tile = _apply_gate(flat, tile, run[0].gate, run[0].wires)
+            plan.append(_lone(run[0].gate, run[0].wires))
             continue
         wires = range(low, nbits) if kind == "block" else sorted(wires)
         m = _fold(run, wires)
         diagonal = np.diagonal(m)
         if np.count_nonzero(m) == np.count_nonzero(diagonal):
-            blocks = _blocks(flat, wires)
-            np.multiply(blocks, diagonal.reshape((2,) * len(wires) + (1,) * (blocks.ndim - len(wires))), out=blocks)
+            plan.append(("scale", wires, diagonal))
         elif kind == "fold":
-            _move(flat, tile, _cycles(*_monomial(m)), wires)
+            plan.append(("move", wires, _cycles(*_monomial(m))))
         else:
-            rows = flat.reshape(-1, 1 << bits)
-            pieces = _pieces((len(rows),), tile.size >> bits)
-            flat, tile = _through(flat, tile, rows, pieces, lambda src, out: np.matmul(src, m.T, out=out))
+            plan.append(("zgemm", wires, m.T))
+    return plan
+
+
+def _run(plan, buf):
+    """U @ buf: each pass of ``plan`` on the row bits of ``buf``, on the kernel of its kind.
+
+    The tile holds ``min(TILE, buf.size)`` entries, raised to a row of the
+    trailing block and two entries per block of a dense pass should that be
+    smaller. The result is ``buf`` or the tile, shaped like ``buf``.
+    """
+    flat = buf.reshape(-1)
+    dense_bits = [len(wires) + 1 for kernel, wires, _ in plan if kernel == "dense"]
+    widest = max([min(BLOCK_BITS, flat.size.bit_length() - 1)] + dense_bits)
+    tile = np.empty(max(min(TILE, flat.size), 1 << widest), dtype=flat.dtype)
+    for kernel, wires, operand in plan:
+        k = len(wires)
+        if kernel == "scale":
+            blocks = _blocks(flat, wires)
+            np.multiply(blocks, operand.reshape((2,) * k + (1,) * (blocks.ndim - k)), out=blocks)
+        elif kernel == "move":
+            _move(flat, tile, operand, wires)
+        elif kernel == "zgemm":
+            rows = flat.reshape(-1, 1 << k)
+            pieces = _pieces((len(rows),), tile.size >> k)
+            flat, tile = _through(flat, tile, rows, pieces, lambda src, out: np.matmul(src, operand, out=out))
+        elif k == 1:
+            pairs = flat.reshape(-1, 2, flat.size >> (wires[0] + 1))
+            # A piece keeps both rows of the gate: it splits (outer, stride) only.
+            pieces = [p[:1] + (slice(None),) + p[1:] for p in _pieces(pairs.shape[::2], tile.size >> 1)]
+            flat, tile = _through(flat, tile, pairs, pieces, lambda src, out: np.matmul(operand, src, out=out))
+        else:
+            # Row r of a piece's output is g[r,0]*b0 + g[r,1]*b1 + ..., left to right.
+            def dense(src, out):
+                ins = [src[b] for b in itertools.product((0, 1), repeat=k)]
+                outs = out.reshape((len(ins),) + src.shape[k:])
+                scratch = tile[src.size : src.size + ins[0].size].reshape(ins[0].shape)
+                for r, row in enumerate(operand):
+                    np.multiply(row[0], ins[0], out=outs[r])
+                    for c in range(1, len(ins)):
+                        np.multiply(row[c], ins[c], out=scratch)
+                        np.add(outs[r], scratch, out=outs[r])
+
+            # A piece's output blocks and one scratch block fill at most the tile.
+            blocks = _blocks(flat, wires)
+            pieces = [(slice(None),) * k + p for p in _pieces(blocks.shape[k:], tile.size >> (k + 1))]
+            flat, tile = _through(flat, tile, blocks, pieces, dense)
     return flat.reshape(buf.shape)
 
 
@@ -349,7 +349,7 @@ def apply(circuit: Circuit, state: StateVector) -> StateVector:
             f"state has {state.num_qubits} qubits, circuit has {circuit.num_qubits}"
         )
     capacity.check("statevector", circuit.num_qubits)
-    return adopt_state(_rows(circuit, state.amplitudes.copy()))
+    return adopt_state(_run(_plan(circuit, circuit.num_qubits), state.amplitudes.copy()))
 
 
 def apply_density(circuit: Circuit, rho: DensityMatrix) -> DensityMatrix:
@@ -359,10 +359,10 @@ def apply_density(circuit: Circuit, rho: DensityMatrix) -> DensityMatrix:
             f"density matrix has {rho.num_qubits} qubits, circuit has {circuit.num_qubits}"
         )
     capacity.check("density", circuit.num_qubits)
-    buf = rho.matrix.copy()
+    buf, plan = rho.matrix.copy(), _plan(circuit, 2 * circuit.num_qubits)
     # U rho U† = (U (U rho)†)† for any rho, Hermitian or not.
     for _ in range(2):
-        buf = _rows(circuit, buf)
+        buf = _run(plan, buf)
         _adjoint(buf)
     return adopt_density(buf)
 
@@ -370,7 +370,7 @@ def apply_density(circuit: Circuit, rho: DensityMatrix) -> DensityMatrix:
 def unitary(circuit: Circuit) -> np.ndarray:
     """The circuit's 2**n x 2**n unitary, as the engine's U @ I."""
     capacity.check("unitary", circuit.num_qubits)
-    return _rows(circuit, np.eye(1 << circuit.num_qubits, dtype=np.complex128))
+    return _run(_plan(circuit, 2 * circuit.num_qubits), np.eye(1 << circuit.num_qubits, dtype=np.complex128))
 
 
 def embed(gate: Gate, wires, num_qubits: int) -> np.ndarray:

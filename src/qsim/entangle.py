@@ -22,13 +22,13 @@ ENTROPY_EIGENVALUE_CUTOFF = 1e-12
 
 
 def _qubit(label) -> int:
-    """A qubit label as a Python int by ``operator.index``; a bool or a float is refused."""
+    """A qubit label or count as a Python int by ``operator.index``; a bool or a float is refused."""
     if not isinstance(label, (bool, np.bool_)):
         try:
             return operator.index(label)
         except TypeError:
             pass
-    raise SubsystemError(f"qubit labels must be integers, got {label!r}")
+    raise SubsystemError(f"qubit labels and counts must be integers, got {label!r}")
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ class Bipartition:
     def split(cls, num_qubits: int, subsystem_a) -> "Bipartition":
         """Bipartition with the given qubits on side A, the rest on side B."""
         a = set(map(_qubit, subsystem_a))
-        b = tuple(q for q in range(num_qubits) if q not in a)
+        b = tuple(q for q in range(_qubit(num_qubits)) if q not in a)
         return cls(tuple(sorted(a)), b)
 
     @property

@@ -147,6 +147,23 @@ class TestApplyDensity:
             expected = u @ rho.matrix @ u.conj().T
             np.testing.assert_allclose(apply_density(c, rho).matrix, expected, rtol=0, atol=1e-14)
 
+    def test_schedules_and_folds_once_per_call(self, monkeypatch, rng, random_state):
+        # At 9 qubits both row passes take the same plan on 18 bits: X 0 and
+        # CNOT 0-1 fold, H 1 runs alone, and S 1 and T 2 make a second fold.
+        calls = {"_schedule": 0, "_fold": 0}
+        for name in calls:
+            def spy(*args, _name=name, _real=getattr(engine, name)):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(engine, name, spy)
+        steps = [(gates.X, (0,)), (gates.CNOT, (0, 1)), (gates.H, (1,)), (gates.S, (1,)), (gates.T, (2,))]
+        c = Circuit(9, [Instruction(g, w) for g, w in steps])
+        rho = to_density(random_state(rng, 9))
+        u = unitary_of(c)
+        np.testing.assert_allclose(apply_density(c, rho).matrix, u @ rho.matrix @ u.conj().T, rtol=0, atol=1e-12)
+        assert calls == {"_schedule": 1, "_fold": 2}
+
     def test_peak_memory_is_two_matrices_and_a_block(self, rng, random_circuit, random_state):
         n = 9
         c = random_circuit(rng, num_qubits=n, max_instructions=24)
@@ -435,7 +452,7 @@ class TestKernels:
             buf = s.amplitudes.copy()
             with monkeypatch.context() as patch:
                 patch.setattr(np, "matmul", refuse)
-                engine._rows(c, buf)
+                engine._run(engine._plan(c, self.N), buf)
             np.testing.assert_allclose(buf, unitary_of(c) @ s.amplitudes, rtol=0, atol=1e-12)
 
     def test_dense_one_qubit_gates_never_slice_blocks(self, monkeypatch, rng, random_state):
@@ -703,34 +720,40 @@ class TestMonomialFold:
         self.check(c, random_state(rng, self.N))
 
     @staticmethod
-    def benchmark_circuits(seed, n=20, copies=2):
-        """The benchmark's ``statevector`` circuits: each library gate twice on fixed wires, in seeded orders."""
-        rng = np.random.default_rng(1)
+    def benchmark_circuits(n, copies, stream, seed=1):
+        """A benchmark workload's circuits: each library gate ``copies`` times on fixed wires, in seeded orders."""
+        rng = np.random.default_rng(stream)
         layout = [
             (gates.standard_gate(label), tuple(int(w) for w in rng.choice(n, gates.standard_gate(label).arity, replace=False)))
             for label in ("x", "y", "z", "s", "t", "h", "swap", "cnot")
             for _ in range(copies)
         ]
-        orders = np.random.default_rng([seed, 1])
+        orders = np.random.default_rng([seed, stream])
         return [Circuit(n, [Instruction(*layout[k]) for k in orders.permutation(len(layout))]) for _ in range(6)]
 
-    def test_benchmark_circuits_make_at_most_eight_passes(self, monkeypatch, rng, random_state):
-        passes = []
-        schedule = engine._schedule
+    @staticmethod
+    def one_by_one(c, buf):
+        """``buf`` after each gate of ``c`` as its own pass."""
+        return engine._run([engine._lone(instr.gate, instr.wires) for instr in c.instructions], buf)
 
-        def spy(*args):
-            items = schedule(*args)
-            passes.append(len(items))
-            return items
-
-        monkeypatch.setattr(engine, "_schedule", spy)
+    def test_benchmark_circuits_make_pinned_pass_counts(self, rng, random_state):
+        # The seed-1 circuits of the statevector workload (20 qubits, 16
+        # gates) and the row passes of the density workload's (9 qubits, 24
+        # gates), as first scheduled.
         s = random_state(rng, 20)
-        for c in self.benchmark_circuits(seed=1):
-            flat, tile = s.amplitudes.copy(), np.empty(engine.TILE, dtype=np.complex128)
-            for instr in c.instructions:
-                flat, tile = engine._apply_gate(flat, tile, instr.gate, instr.wires)
-            np.testing.assert_allclose(apply(c, s).amplitudes, flat, rtol=0, atol=1e-12)
-        assert len(passes) == 6 and max(passes) <= 8, passes
+        statevector = self.benchmark_circuits(20, copies=2, stream=1)
+        assert [len(engine._plan(c, 20)) for c in statevector] == [6, 6, 7, 7, 7, 7]
+        for c in statevector:
+            np.testing.assert_allclose(apply(c, s).amplitudes, self.one_by_one(c, s.amplitudes.copy()), rtol=0, atol=1e-12)
+        rho = to_density(random_state(rng, 9))
+        density = self.benchmark_circuits(9, copies=3, stream=3)
+        assert [len(engine._plan(c, 18)) for c in density] == [7, 6, 7, 6, 6, 6]
+        for c in density:
+            buf = rho.matrix.copy()
+            for _ in range(2):
+                buf = self.one_by_one(c, buf)
+                engine._adjoint(buf)
+            np.testing.assert_allclose(apply_density(c, rho).matrix, buf, rtol=0, atol=1e-12)
 
     def test_below_the_size_threshold_gates_run_one_by_one(self, rng, random_state):
         # At 12 qubits a fold's blocks would hold fewer than 2**12 entries:
@@ -739,10 +762,7 @@ class TestMonomialFold:
         steps = [(gates.T, (0,)), (gates.T, (0,)), (gates.CNOT, (2, 0)), (gates.Y, (2,)), (gates.S, (5,)), (gates.T, (5,)), (gates.SWAP, (7, 1))]
         c = Circuit(n, [Instruction(g, w) for g, w in steps])
         s = random_state(rng, n)
-        flat, tile = s.amplitudes.copy(), np.empty(engine.TILE, dtype=np.complex128)
-        for instr in c.instructions:
-            flat, tile = engine._apply_gate(flat, tile, instr.gate, instr.wires)
-        assert np.array_equal(apply(c, s).amplitudes, flat)
+        assert np.array_equal(apply(c, s).amplitudes, self.one_by_one(c, s.amplitudes.copy()))
 
     def test_fold_works_in_place(self):
         n = 20

@@ -61,6 +61,14 @@ class TestBipartition:
             with pytest.raises(SubsystemError, match="must be integers"):
                 build()
 
+    @pytest.mark.parametrize("count", [2.5, 2.0, True, np.True_, "2"])
+    def test_split_rejects_a_non_integer_count(self, count):
+        with pytest.raises(SubsystemError, match="must be integers"):
+            Bipartition.split(count, [0])
+
+    def test_split_takes_a_numpy_count(self):
+        assert Bipartition.split(np.int64(3), [1]) == Bipartition((1,), (0, 2))
+
     def test_stores_numpy_labels_as_ints(self):
         part = Bipartition.split(3, [np.int64(2)])
         assert part == Bipartition((2,), (0, 1))
