@@ -18,7 +18,6 @@ squares each one as it goes, so the probabilities agree to the bit.
 """
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -28,6 +27,7 @@ from . import capacity
 from .circuit import Circuit, Instruction
 from .errors import DimensionMismatchError, QsimError
 from .gates import CNOT, H
+from .numerics import as_index
 from .qstate import StateVector, adopt_state
 
 
@@ -37,21 +37,18 @@ def bell_circuit() -> Circuit:
 
 
 def _integer(value, what: str) -> int:
-    """``value`` as a Python int by ``operator.index``; a bool or a float is refused."""
-    if not isinstance(value, (bool, np.bool_)):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise QsimError(f"{what} must be an integer, got {value!r}")
+    """``value`` as a Python int by :func:`~qsim.numerics.as_index`."""
+    if (n := as_index(value)) is None:
+        raise QsimError(f"{what} must be an integer, got {value!r}")
+    return n
 
 
 @dataclass(frozen=True)
 class GroverSpec:
     """Search problem: n qubits, one marked basis index, k iterations.
 
-    Each field is read by ``operator.index`` and stored as a Python int, so
-    numpy integers pass and floats and bools are refused.
+    Each field is read by :func:`~qsim.numerics.as_index` and stored as a
+    Python int, so numpy integers pass and floats and bools are refused.
     """
 
     num_qubits: int

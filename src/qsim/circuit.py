@@ -54,6 +54,7 @@ from .errors import (
     WireOutOfRangeError,
 )
 from .gates import Gate, _cycles, _monomial
+from .numerics import as_index
 from .qstate import DensityMatrix, StateVector, adopt_density, adopt_state
 
 # Trailing bits whose gates are fused into one zgemm (kernel 1). From a
@@ -84,15 +85,15 @@ class Instruction:
     __slots__ = ("gate", "wires")
 
     def __init__(self, gate: Gate, wires):
-        ws = tuple(int(w) for w in wires)
+        ws = tuple(map(as_index, wires))
         if len(ws) != gate.arity:
             raise ArityError(
                 f"gate {gate.label!r} expects {gate.arity} wires, got {len(ws)}"
             )
+        if any(w is None or w < 0 for w in ws):
+            raise WireOutOfRangeError(f"wires must be non-negative integers, got {wires!r}")
         if len(set(ws)) != len(ws):
             raise DuplicateWireError(f"wires must be distinct, got {ws}")
-        if any(w < 0 for w in ws):
-            raise WireOutOfRangeError(f"wires must be non-negative, got {ws}")
         object.__setattr__(self, "gate", gate)
         object.__setattr__(self, "wires", ws)
 
@@ -119,9 +120,8 @@ class Circuit:
     __slots__ = ("num_qubits", "instructions")
 
     def __init__(self, num_qubits: int, instructions=()):
-        n = int(num_qubits)
-        if n < 1:
-            raise DimensionMismatchError(f"circuit needs at least 1 qubit, got {n}")
+        if (n := as_index(num_qubits)) is None or n < 1:
+            raise DimensionMismatchError(f"circuit needs at least 1 qubit, got {num_qubits!r}")
         instrs = tuple(instructions)
         for instr in instrs:
             if max(instr.wires) >= n:
@@ -379,12 +379,8 @@ def embed(gate: Gate, wires, num_qubits: int) -> np.ndarray:
     Built entry by entry from the basis-state action, deliberately
     independent of the gate engine so the two can check each other.
     """
-    ws = tuple(int(w) for w in wires)
-    if len(ws) != gate.arity:
-        raise ArityError(f"gate {gate.label!r} expects {gate.arity} wires, got {len(ws)}")
-    if len(set(ws)) != len(ws):
-        raise DuplicateWireError(f"wires must be distinct, got {ws}")
-    if any(w < 0 or w >= num_qubits for w in ws):
+    ws = Instruction(gate, wires).wires
+    if any(w >= num_qubits for w in ws):
         raise WireOutOfRangeError(f"wires {ws} out of range for {num_qubits} qubits")
     capacity.check("unitary", num_qubits)
     m = gate.arity

@@ -10,25 +10,22 @@ its squared Frobenius norm, classifies, and the base-2 von Neumann entropy
 of its eigenvalues quantifies (0 for product states, min(|A|, |B|) at most).
 """
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import QsimError, SubsystemError
+from .numerics import as_index
 from .qstate import DensityMatrix, StateVector, adopt_density
 
 ENTROPY_EIGENVALUE_CUTOFF = 1e-12
 
 
 def _qubit(label) -> int:
-    """A qubit label or count as a Python int by ``operator.index``; a bool or a float is refused."""
-    if not isinstance(label, (bool, np.bool_)):
-        try:
-            return operator.index(label)
-        except TypeError:
-            pass
-    raise SubsystemError(f"qubit labels and counts must be integers, got {label!r}")
+    """A qubit label or count as a Python int by :func:`~qsim.numerics.as_index`."""
+    if (q := as_index(label)) is None:
+        raise SubsystemError(f"qubit labels and counts must be integers, got {label!r}")
+    return q
 
 
 @dataclass(frozen=True)
@@ -53,10 +50,12 @@ class Bipartition:
 
     @classmethod
     def split(cls, num_qubits: int, subsystem_a) -> "Bipartition":
-        """Bipartition with the given qubits on side A, the rest on side B."""
-        a = set(map(_qubit, subsystem_a))
-        b = tuple(q for q in range(_qubit(num_qubits)) if q not in a)
-        return cls(tuple(sorted(a)), b)
+        """Bipartition with the given distinct qubits on side A, the rest on side B."""
+        n = _qubit(num_qubits)
+        a = tuple(sorted(map(_qubit, subsystem_a)))
+        if len(set(a)) != len(a) or not all(0 <= q < n for q in a):
+            raise SubsystemError(f"side A {a} must be distinct qubits below num_qubits={n}")
+        return cls(a, tuple(q for q in range(n) if q not in a))
 
     @property
     def num_qubits(self) -> int:

@@ -60,16 +60,17 @@ class Gate:
 
     def __init__(self, label: str, arity: int, matrix):
         m = np.asarray(matrix, dtype=np.complex128).copy()
-        if m.shape != (2**arity, 2**arity):
+        k = numerics.as_index(arity)
+        if k is None or m.shape != (2**k, 2**k):
             raise ArityError(
-                f"gate {label!r} with arity {arity} needs a {2**arity}x{2**arity} matrix"
+                f"gate {label!r} with arity {arity!r} needs a 2**arity-square matrix, got {m.shape}"
             )
         # Execution never re-validates its output, so a gate must keep norms.
         if not np.isfinite(m).all() or not numerics.is_unitary(m):
             raise NotUnitaryError(f"gate {label!r} matrix is not unitary within 1e-10")
         m.setflags(write=False)
         object.__setattr__(self, "label", label)
-        object.__setattr__(self, "arity", arity)
+        object.__setattr__(self, "arity", k)
         object.__setattr__(self, "matrix", m)
         monomial = _monomial(m)
         object.__setattr__(self, "cycles", None if monomial is None else _cycles(*monomial))

@@ -30,9 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import capacity
 from .circuit import Circuit, apply
 from .errors import ProbabilityError, QsimError, WireOutOfRangeError
+from .numerics import as_index
 from .qstate import DensityMatrix, StateVector, _adopt, adopt_state, basis_state, zero_state
 
 PROB_TOL = 1e-12
@@ -77,8 +77,8 @@ def _labels(indices, num_qubits: int) -> list[str]:
 class OutcomeDistribution:
     """Exact outcome probabilities over all 2**n basis states.
 
-    Construction checks ``num_qubits`` (a non-negative integer by
-    ``operator.index``), the count, the [0, 1] range (NaN fails it) and the
+    Construction checks ``num_qubits`` (a non-negative integer, by
+    :func:`as_index`), the count, the [0, 1] range (NaN fails it) and the
     unit sum.
     :func:`probabilities` and :func:`probabilities_density` derive theirs
     from states that passed the state checks, so they skip these (a pass
@@ -89,8 +89,7 @@ class OutcomeDistribution:
     probabilities: np.ndarray
 
     def __post_init__(self):
-        n = _index(self.num_qubits)
-        if n is None or n < 0:
+        if (n := as_index(self.num_qubits)) is None or n < 0:
             raise ProbabilityError("num_qubits must be a non-negative integer")
         probs = np.asarray(self.probabilities, dtype=np.float64).reshape(-1)
         if probs.size != 1 << n:
@@ -131,11 +130,10 @@ class MeasurementRecord:
 class ShotHistogram:
     """Counts per observed bitstring for a multi-shot run.
 
-    Construction checks that each count is a non-negative integer (by
-    ``operator.index``, so 0.5 is refused, and not a bool), that they sum to
-    ``shots`` (an integer by ``operator.index``), and the seed as
-    :func:`check_sampling` does; ``shots`` and ``seed`` are kept as the ints
-    those checks return.
+    Construction checks, by :func:`as_index`, that each count is a
+    non-negative integer (so 0.5 and a bool are refused) and that they sum
+    to the integer ``shots``, and the seed as :func:`check_sampling` does;
+    ``shots`` and ``seed`` are kept as the ints those checks return.
     """
 
     counts: dict[str, int]
@@ -144,17 +142,13 @@ class ShotHistogram:
 
     def __post_init__(self):
         values = self.counts.values()
-        # operator.index reads a bool as 0 or 1, which json would print as true or false.
-        if {bool, np.bool_} & set(map(type, values)):
+        # One count per type goes through as_index (json prints a bool as true).
+        if None in map(as_index, dict(zip(map(type, values), values)).values()):
             raise ProbabilityError("histogram counts must be integers")
-        try:
-            counts = list(map(operator.index, values))
-        except TypeError:
-            raise ProbabilityError("histogram counts must be integers") from None
+        counts = list(map(operator.index, values))
         if min(counts, default=0) < 0:
             raise ProbabilityError("histogram counts must not be negative")
-        shots = _index(self.shots)
-        if shots is None or sum(counts) != shots:
+        if (shots := as_index(self.shots)) is None or sum(counts) != shots:
             raise ProbabilityError("histogram counts must sum to the shot total")
         object.__setattr__(self, "shots", shots)
         object.__setattr__(self, "seed", _check_seed(self.seed))
@@ -240,9 +234,9 @@ def measure_qubit(state: StateVector, qubit: int, rng_draw: float) -> Measuremen
     """Measure one qubit; the rest of the state is projected and renormalized."""
     _check_draw(rng_draw)
     n = state.num_qubits
-    if not 0 <= qubit < n:
-        raise WireOutOfRangeError(f"qubit {qubit} out of range for {n} qubits")
-    shape = (1 << qubit, 2, -1)  # the qubit is axis 1
+    if (q := as_index(qubit)) is None or not 0 <= q < n:
+        raise WireOutOfRangeError(f"qubit {qubit!r} out of range for {n} qubits")
+    shape = (1 << q, 2, -1)  # the qubit is axis 1
     marginal = probabilities(state).probabilities.reshape(shape).sum(axis=(0, 2))
     bit = int(_pick(marginal, np.cumsum(marginal), np.array([rng_draw]))[0])
     amps = state.amplitudes.reshape(shape)
@@ -283,18 +277,9 @@ def _philox_draws(seed: int, shots: np.ndarray) -> np.ndarray:
     return (c0 >> 11) * 2.0**-53
 
 
-def _index(value):
-    """``value`` as a Python int by ``operator.index``, or None when it is no integer."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        return None
-
-
 def _check_seed(seed) -> int:
-    """``seed`` as a Python int by ``operator.index``, if it lies in 0..``MAX_SEED``."""
-    seed = _index(seed)
-    if seed is None or not 0 <= seed <= MAX_SEED:
+    """``seed`` as a Python int by :func:`as_index`, if it lies in 0..``MAX_SEED``."""
+    if (seed := as_index(seed)) is None or not 0 <= seed <= MAX_SEED:
         raise QsimError("seed must be an unsigned 64-bit integer")
     return seed
 
@@ -302,13 +287,12 @@ def _check_seed(seed) -> int:
 def check_sampling(shots: int, seed: int) -> tuple[int, int]:
     """``shots`` and ``seed`` as Python ints: at least one shot, an unsigned 64-bit seed.
 
-    Integers are read by ``operator.index``, so numpy integers pass and
-    floats fail. :func:`sample` and ``qsim run`` share this check, so it
+    Both are read by :func:`as_index`, so numpy integers pass and floats
+    and bools fail. :func:`sample` and ``qsim run`` share this check, so it
     holds on both backends. Each message starts with the name of what it
     rejects, which the command line prefixes with ``--`` to name its flag.
     """
-    shots = _index(shots)
-    if shots is None or shots < 1:
+    if (shots := as_index(shots)) is None or shots < 1:
         raise ProbabilityError("shots must be at least 1")
     return shots, _check_seed(seed)
 
@@ -326,8 +310,6 @@ def sample(circuit: Circuit, shots: int, seed: int, *, workers: int = 1) -> Shot
     the circuit, ``shots`` and ``seed``.
     """
     shots, seed = check_sampling(shots, seed)
-    # Checked before |0...0> is built: over the cap, that alone can exhaust memory.
-    capacity.check("statevector", circuit.num_qubits)
     probs = probabilities(apply(circuit, zero_state(circuit.num_qubits))).probabilities
     cum = np.cumsum(probs)
     # add.at costs O(chunk); a bincount would clear and add 2**n counts per chunk.

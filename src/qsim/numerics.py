@@ -3,17 +3,19 @@
 Matrices are plain ``numpy.ndarray`` values in complex128, row-major, and
 treated as immutable by every routine here (inputs are never written to,
 outputs are fresh arrays). The module provides the handful of primitives
-the rest of the package is built on: coercion to a checked matrix,
-unitarity/Hermiticity predicates, the one Hermitian eigendecomposition
-(LAPACK ``eigh``), and the spectral matrix exponential exp(-i*H*theta)
-built from it. The tests' brute-force products, Kronecker products,
-adjoints and cyclic-Jacobi eigensolver live in ``tests/oracles.py``.
+the rest of the package is built on: :func:`as_index`, the one reader of
+every integer argument, coercion to a checked matrix, unitarity/Hermiticity
+predicates, the one Hermitian eigendecomposition (LAPACK ``eigh``), and
+the spectral matrix exponential exp(-i*H*theta) built from it. The tests'
+brute-force products, Kronecker products, adjoints and cyclic-Jacobi
+eigensolver live in ``tests/oracles.py``.
 
 Comparisons use absolute max-norm with a default tolerance of 1e-10,
 overridable per call; :func:`is_hermitian` at that default is the one
 Hermiticity check of the package.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +23,19 @@ import numpy as np
 from .errors import DimensionMismatchError, NotHermitianError, NotSquareError
 
 DEFAULT_TOL = 1e-10
+
+
+def as_index(value):
+    """``value`` as a Python int by ``operator.index``, or None for a bool or any non-integer.
+
+    Of numpy scalars only integers pass: numpy 1.x reads a numpy bool as 0 or 1.
+    """
+    if isinstance(value, (bool, np.generic)) and not isinstance(value, np.integer):
+        return None
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
 
 
 def as_matrix(a) -> np.ndarray:

@@ -8,14 +8,16 @@ zero-padded to n digits.
 
 Construction rejects unnormalized amplitudes instead of silently fixing
 them (a wrong norm usually means a caller bug); :func:`normalize` is the
-explicit opt-in for scaling raw amplitudes.
+explicit opt-in for scaling raw amplitudes. :func:`basis_state` reads its
+integers by :func:`~qsim.numerics.as_index` and checks the statevector cap
+before it allocates: over the cap, the array alone can exhaust memory.
 """
 
 from collections.abc import Sequence
 
 import numpy as np
 
-from . import numerics
+from . import capacity, numerics
 from .errors import (
     DimensionMismatchError,
     NotHermitianError,
@@ -152,11 +154,14 @@ def normalize(amplitudes) -> StateVector:
 
 def basis_state(num_qubits: int, index: int) -> StateVector:
     """Computational basis state |index> on ``num_qubits`` qubits."""
-    dim = 1 << num_qubits
-    if not 0 <= index < dim:
-        raise DimensionMismatchError(f"basis index {index} out of range for {num_qubits} qubits")
-    amps = np.zeros(dim, dtype=np.complex128)
-    amps[index] = 1.0
+    n, k = numerics.as_index(num_qubits), numerics.as_index(index)
+    if n is None or n < 0:
+        raise DimensionMismatchError(f"qubit count must be a non-negative integer, got {num_qubits!r}")
+    capacity.check("statevector", n)
+    if k is None or not 0 <= k < 1 << n:
+        raise DimensionMismatchError(f"basis index {index!r} out of range for {n} qubits")
+    amps = np.zeros(1 << n, dtype=np.complex128)
+    amps[k] = 1.0
     return adopt_state(amps)
 
 

@@ -62,7 +62,8 @@ class TestGroverSpec:
 
     @pytest.mark.parametrize(
         "fields",
-        [(3, 0, 1.5), (3.0, 0, 1), (3, 1.5, 1), (3, 0, True), (3, True, 1), (True, 0, 1), (3, 0, "2")],
+        [(3, 0, 1.5), (3.0, 0, 1), (3, 1.5, 1), (3, 0, True), (3, True, 1), (True, 0, 1), (3, 0, "2")]
+        + [(3, 0, np.True_), (3, np.True_, 1), (np.True_, 0, 1)],
     )
     def test_rejects_non_integers(self, fields):
         with pytest.raises(QsimError, match="must be an integer"):
@@ -164,7 +165,7 @@ class TestClosedForm:
         with pytest.raises(QsimError):
             grover_optimal_iterations(0)
 
-    @pytest.mark.parametrize("n", [2.5, 3.0, True, "4"])
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, np.True_, "4"])
     def test_optimal_iterations_requires_an_integer(self, n):
         with pytest.raises(QsimError, match="must be an integer"):
             grover_optimal_iterations(n)

@@ -25,12 +25,48 @@ from qsim.errors import (
     NotUnitaryError,
     WireOutOfRangeError,
 )
+from qsim.measure import measure_qubit
 from qsim.numerics import is_unitary
 from qsim.qstate import DensityMatrix, basis_state, inner_product, to_density, zero_state
 
 SQRT2_INV = 1.0 / np.sqrt(2.0)
 BELL = Circuit(2, [Instruction(gates.H, (0,)), Instruction(gates.CNOT, (0, 1))])
 BELL_VECTOR = np.array([SQRT2_INV, 0.0, 0.0, SQRT2_INV])  # CNOT (H x I) e0 by hand
+
+
+# Every public integer parameter of circuit, qstate, gates and measure_qubit:
+# a call taking the integer, the error a non-integer raises, and what the
+# call keeps of it.
+INTEGER_PARAMETERS = {
+    "Circuit.num_qubits": (Circuit, DimensionMismatchError, lambda c: c.num_qubits),
+    "Instruction.wires": (lambda v: Instruction(gates.X, (v,)), WireOutOfRangeError, lambda i: i.wires[0]),
+    "embed.wires": (lambda v: embed(gates.X, (v,), 2), WireOutOfRangeError, np.ndarray.tolist),
+    "Gate.arity": (lambda v: gates.Gate("U", v, gates.X.matrix), ArityError, lambda g: g.arity),
+    "basis_state.num_qubits": (lambda v: basis_state(v, 1), DimensionMismatchError, lambda s: s.num_qubits),
+    "basis_state.index": (lambda v: basis_state(2, v), DimensionMismatchError, lambda s: s.amplitudes.tolist()),
+    "zero_state.num_qubits": (zero_state, DimensionMismatchError, lambda s: s.num_qubits),
+    "measure_qubit.qubit": (
+        lambda v: measure_qubit(basis_state(2, 1), v, 0.5),
+        WireOutOfRangeError,
+        lambda r: r.outcome,
+    ),
+}
+
+
+class TestIntegerParameters:
+    @pytest.mark.parametrize("value", [2.5, 1.0, True, np.True_, "1"])
+    @pytest.mark.parametrize("name", INTEGER_PARAMETERS)
+    def test_non_integers_are_refused(self, name, value):
+        call, error, _ = INTEGER_PARAMETERS[name]
+        with pytest.raises(error):
+            call(value)
+
+    @pytest.mark.parametrize("name", INTEGER_PARAMETERS)
+    def test_numpy_integers_are_kept_as_ints(self, name):
+        call, _, kept = INTEGER_PARAMETERS[name]
+        got, expected = kept(call(np.int64(1))), kept(call(1))
+        assert got == expected
+        assert type(got) is type(expected)
 
 
 class TestConstruction:

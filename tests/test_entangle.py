@@ -66,6 +66,11 @@ class TestBipartition:
         with pytest.raises(SubsystemError, match="must be integers"):
             Bipartition.split(count, [0])
 
+    @pytest.mark.parametrize("side_a", [[0, 0], [5], [3], [-1]])
+    def test_split_refuses_repeated_or_outside_labels(self, side_a):
+        with pytest.raises(SubsystemError, match="num_qubits=3"):
+            Bipartition.split(3, side_a)
+
     def test_split_takes_a_numpy_count(self):
         assert Bipartition.split(np.int64(3), [1]) == Bipartition((1,), (0, 2))
 
@@ -96,7 +101,7 @@ class TestPartialTrace:
         with pytest.raises(SubsystemError):
             partial_trace(to_density(BELL), [2])
 
-    @pytest.mark.parametrize("label", [0.5, 1.0, True, "0"])
+    @pytest.mark.parametrize("label", [0.5, 1.0, True, np.True_, "0"])
     def test_non_integer_label_rejected(self, label):
         with pytest.raises(SubsystemError, match="must be integers"):
             partial_trace(to_density(BELL), [label])

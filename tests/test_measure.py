@@ -141,7 +141,7 @@ class TestProbabilities:
         with pytest.raises(ProbabilityError):
             OutcomeDistribution(2, [1.0, 0.0])
 
-    @pytest.mark.parametrize("num_qubits", [-1, 2.5, "1", None])
+    @pytest.mark.parametrize("num_qubits", [-1, 2.5, 1.0, True, np.True_, "1", None])
     def test_distribution_num_qubits_is_a_non_negative_integer(self, num_qubits):
         with pytest.raises(ProbabilityError, match="num_qubits"):
             OutcomeDistribution(num_qubits, [1.0])
@@ -399,6 +399,10 @@ class TestSample:
         [
             (2.0, 5, ProbabilityError, "shots must be at least 1"),
             (None, 5, ProbabilityError, "shots must be at least 1"),
+            (True, 5, ProbabilityError, "shots must be at least 1"),
+            (np.True_, 5, ProbabilityError, "shots must be at least 1"),
+            (10, True, QsimError, "seed must be an unsigned 64-bit integer"),
+            (10, np.True_, QsimError, "seed must be an unsigned 64-bit integer"),
             (10, 5.0, QsimError, "seed must be an unsigned 64-bit integer"),
             (10, np.float64(5), QsimError, "seed must be an unsigned 64-bit integer"),
             (10, "5", QsimError, "seed must be an unsigned 64-bit integer"),
@@ -440,15 +444,16 @@ class TestSerialization:
         with pytest.raises(ProbabilityError, match="must be integers"):
             ShotHistogram(counts={"0": count}, shots=1, seed=0)
 
-    @pytest.mark.parametrize("seed", [2.5, -3, 1 << 64, "1", None])
+    @pytest.mark.parametrize("seed", [2.5, 1.0, True, np.True_, -3, 1 << 64, "1", None])
     def test_histogram_seed_is_an_unsigned_64_bit_integer(self, seed):
         with pytest.raises(QsimError, match="seed must be an unsigned 64-bit integer"):
             ShotHistogram(counts={"0": 1}, shots=1, seed=seed)
 
     def test_histogram_shots_is_an_integer(self):
-        with pytest.raises(ProbabilityError, match="shot total"):
-            ShotHistogram(counts={"0": 1}, shots=1.0, seed=0)
-        hist = ShotHistogram(counts={"0": 1}, shots=True, seed=0)
+        for shots in (1.0, True):
+            with pytest.raises(ProbabilityError, match="shot total"):
+                ShotHistogram(counts={"0": 1}, shots=shots, seed=0)
+        hist = ShotHistogram(counts={"0": 1}, shots=np.int64(1), seed=0)
         assert type(hist.shots) is int
         assert hist.render("json").startswith('{\n  "shots": 1,\n')
 

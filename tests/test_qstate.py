@@ -5,6 +5,7 @@ import pytest
 
 from qsim import numerics
 from qsim.errors import (
+    CapacityError,
     DimensionMismatchError,
     NotHermitianError,
     NotNormalizedError,
@@ -75,6 +76,21 @@ def test_basis_and_zero_states():
     np.testing.assert_array_equal(zero_state(3).amplitudes, np.eye(8)[0])
     with pytest.raises(DimensionMismatchError):
         basis_state(1, 2)
+
+
+@pytest.mark.parametrize("build", [lambda: basis_state(-1, 0), lambda: basis_state(2, 4), lambda: basis_state(2, -1)])
+def test_basis_state_refuses_a_negative_count_or_an_outside_index(build):
+    with pytest.raises(DimensionMismatchError):
+        build()
+
+
+@pytest.mark.parametrize("build", [zero_state, lambda n: basis_state(n, 0)])
+@pytest.mark.parametrize("n", [40, 64])
+def test_capacity_before_the_state_is_built(monkeypatch, build, n):
+    # 40 qubits would ask numpy for 16 TiB and 64 for more than it can index.
+    monkeypatch.delenv("QSIM_MAX_QUBITS", raising=False)
+    with pytest.raises(CapacityError, match=f"statevector path supports at most 24 qubits, got {n}"):
+        build(n)
 
 
 def test_zero_state_peak_memory_is_one_state():
