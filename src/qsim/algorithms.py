@@ -119,8 +119,16 @@ def grover_run(spec: GroverSpec) -> GroverResult:
 
 def grover_success_closed_form(num_qubits: int, iterations: int) -> float:
     """Analytic success probability sin^2((2k+1) * arcsin(2**(-n/2)))."""
-    theta = math.asin(2.0 ** (-num_qubits / 2.0))
-    return math.sin((2 * iterations + 1) * theta) ** 2
+    num_qubits = _integer(num_qubits, "number of qubits")
+    iterations = _integer(iterations, "iterations")
+    if num_qubits < 1:
+        raise QsimError(f"need at least 1 qubit, got {num_qubits}")
+    if iterations < 0:
+        raise QsimError(f"iterations must be non-negative, got {iterations}")
+    try:
+        return math.sin((2 * iterations + 1) * math.asin(2.0 ** (-num_qubits / 2.0))) ** 2
+    except OverflowError:
+        raise QsimError("qubit or iteration count exceeds the float range") from None
 
 
 def grover_optimal_iterations(num_qubits: int) -> int:
@@ -128,10 +136,10 @@ def grover_optimal_iterations(num_qubits: int) -> int:
     num_qubits = _integer(num_qubits, "number of qubits")
     if num_qubits < 1:
         raise QsimError(f"need at least 1 qubit, got {num_qubits}")
-    theta = math.asin(2.0 ** (-num_qubits / 2.0))
-    # From 2049 qubits on, the count overflows a float (round(inf)), and
-    # from 2150 on theta underflows to 0.
+    # From 2049 qubits on, the count overflows a float (round(inf)), from
+    # 2150 on theta underflows to 0, and past about 10**308 n is no float.
     try:
+        theta = math.asin(2.0 ** (-num_qubits / 2.0))
         return max(0, round(math.pi / (4.0 * theta) - 0.5))
     except (OverflowError, ZeroDivisionError):
         raise QsimError(

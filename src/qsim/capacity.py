@@ -4,15 +4,20 @@ Defaults keep every operation desk-scale: state vectors up to 24 qubits
 (16M amplitudes), density matrices up to 10, explicit circuit unitaries up
 to 12 (the same limit caps a Hamiltonian at dimension 2**12), and the
 search demonstrator up to 20. Setting the environment
-variable ``QSIM_MAX_QUBITS`` to a positive integer overrides all four caps
-at once.
+variable ``QSIM_MAX_QUBITS`` to a positive integer, written in ASCII
+digits with an optional sign, overrides all four caps at once.
 """
 
 import os
+import re
 
 from .errors import CapacityError
 
 ENV_OVERRIDE = "QSIM_MAX_QUBITS"
+
+# An ASCII decimal integer, as the qcf grammar and the CLI read one: int()
+# alone would also take Unicode digits, underscores and surrounding whitespace.
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 STATEVECTOR_QUBITS = 24
 DENSITY_QUBITS = 10
@@ -31,12 +36,9 @@ def limit(kind: str) -> int:
     """Current qubit cap for ``kind``, honoring the environment override."""
     raw = os.environ.get(ENV_OVERRIDE)
     if raw is not None:
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise CapacityError(
-                f"{ENV_OVERRIDE} must be an integer, got {raw!r}"
-            ) from None
+        if not _INTEGER.fullmatch(raw):
+            raise CapacityError(f"{ENV_OVERRIDE} must be an integer, got {raw!r}")
+        cap = int(raw)
         if cap < 1:
             raise CapacityError(f"{ENV_OVERRIDE} must be at least 1, got {raw!r}")
         return cap

@@ -10,11 +10,10 @@ Data goes to stdout, diagnostics to stderr; ``run`` prints through the
 ``render`` of its result in :mod:`qsim.measure`. Exit codes: 0 success,
 2 parse/usage error, 3 capacity/runtime error, running out of memory
 included. Identical invocations (same flags, same seed) produce
-byte-identical stdout, from 16 qubits up for a fixed BLAS thread count.
+byte-identical stdout.
 """
 
 import argparse
-import re
 import sys
 
 import numpy as np
@@ -35,16 +34,10 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 
-_INTEGER = re.compile(r"[+-]?[0-9]+")
-
 
 def _integer(text: str) -> int:
-    """An ASCII decimal integer, as the qcf grammar reads one.
-
-    ``int()`` alone would also take Unicode digits, underscores and
-    surrounding whitespace. argparse turns the ValueError into a usage error.
-    """
-    if not _INTEGER.fullmatch(text):
+    """An ASCII decimal integer by ``capacity``'s rule; argparse turns the ValueError into a usage error."""
+    if not capacity._INTEGER.fullmatch(text):
         raise ValueError(text)
     return int(text)
 

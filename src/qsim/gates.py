@@ -61,9 +61,10 @@ class Gate:
     def __init__(self, label: str, arity: int, matrix):
         m = np.asarray(matrix, dtype=np.complex128).copy()
         k = numerics.as_index(arity)
-        if k is None or m.shape != (2**k, 2**k):
+        if k is None or k < 1 or m.shape != (2**k, 2**k):
             raise ArityError(
-                f"gate {label!r} with arity {arity!r} needs a 2**arity-square matrix, got {m.shape}"
+                f"gate {label!r} needs an arity of at least 1 and a 2**arity-square matrix,"
+                f" got arity {arity!r} and shape {m.shape}"
             )
         # Execution never re-validates its output, so a gate must keep norms.
         if not np.isfinite(m).all() or not numerics.is_unitary(m):

@@ -32,6 +32,11 @@ TRACE_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-9  # roundoff allowance for the PSD check
 
 
+def _sumsq(a: np.ndarray) -> float:
+    """Sum of squared magnitudes, numpy's pairwise sum: the same bits on any BLAS thread count."""
+    return float(np.sum(np.abs(a) ** 2))
+
+
 def _num_qubits_for(length: int) -> int:
     if length < 1 or length & (length - 1):
         raise NotPowerOfTwoError(f"length {length} is not a power of two")
@@ -48,7 +53,7 @@ class StateVector:
         n = _num_qubits_for(amps.size)
         if not np.isfinite(amps).all():
             raise NotNormalizedError("amplitudes must be finite")
-        sumsq = float(np.sum(np.abs(amps) ** 2))
+        sumsq = _sumsq(amps)
         if abs(sumsq - 1.0) > NORM_TOL:
             raise NotNormalizedError(
                 f"amplitudes have squared norm {sumsq!r}, expected 1 within {NORM_TOL}"
@@ -146,10 +151,11 @@ def from_amplitudes(amplitudes) -> StateVector:
 def normalize(amplitudes) -> StateVector:
     """Scale raw amplitudes to unit norm (errors on the zero vector)."""
     amps = np.array(amplitudes, dtype=np.complex128).reshape(-1)
-    norm = float(np.linalg.norm(amps))
-    if norm == 0.0 or not np.isfinite(norm):
+    sumsq = _sumsq(amps)
+    if sumsq == 0.0 or not np.isfinite(sumsq):
         raise NotNormalizedError("cannot normalize a zero or non-finite vector")
-    return StateVector(amps / norm)
+    # The StateVector check stays: a subnormal sumsq leaves the result off unit norm.
+    return StateVector(amps / np.sqrt(sumsq))
 
 
 def basis_state(num_qubits: int, index: int) -> StateVector:
@@ -208,7 +214,7 @@ def from_ensemble(ensemble: MixedEnsemble) -> DensityMatrix:
 def purity(rho: DensityMatrix) -> float:
     """Tr(rho^2); 1 for pure states, 1/2**n for maximally mixed."""
     # For Hermitian rho, Tr(rho @ rho) equals the squared Frobenius norm.
-    return float(np.sum(np.abs(rho.matrix) ** 2))
+    return _sumsq(rho.matrix)
 
 
 def dephase(rho: DensityMatrix) -> DensityMatrix:

@@ -179,6 +179,28 @@ class TestClosedForm:
     def test_optimal_iterations_at_the_float_range(self):
         assert grover_optimal_iterations(2048) > 10**307
 
+    def test_optimal_iterations_of_a_count_that_is_no_float(self):
+        with pytest.raises(QsimError, match="float range"):
+            grover_optimal_iterations(10**400)
+
+    @pytest.mark.parametrize(
+        "n, k, match",
+        [
+            (2.5, 1.5, "must be an integer"),
+            (True, True, "must be an integer"),
+            (3, 1.0, "must be an integer"),
+            (np.True_, 1, "must be an integer"),
+            (3, -1, "non-negative"),
+            (-2, 1, "at least 1 qubit"),
+            (0, 1, "at least 1 qubit"),
+            pytest.param(3, 10**400, "float range", id="3-10**400"),
+            pytest.param(10**400, 1, "float range", id="10**400-1"),
+        ],
+    )
+    def test_closed_form_refuses_bad_arguments(self, n, k, match):
+        with pytest.raises(QsimError, match=match):
+            grover_success_closed_form(n, k)
+
 
 class TestIterationGeometry:
     def test_unmarked_amplitudes_stay_equal(self):

@@ -86,6 +86,11 @@ class TestConstruction:
         with pytest.raises(WireOutOfRangeError):
             Circuit(1, [Instruction(gates.X, (1,))])
 
+    def test_gate_needs_a_qubit(self):
+        # A 1x1 unitary of arity 0 made Circuit's wire check raise a raw ValueError on max(()).
+        with pytest.raises(ArityError, match="at least 1"):
+            gates.Gate("I0", 0, [[1]])
+
     def test_circuit_needs_a_qubit(self):
         with pytest.raises(DimensionMismatchError):
             Circuit(0)

@@ -167,6 +167,13 @@ class TestRun:
         assert out == ""
         assert f"QSIM_MAX_QUBITS must be at least 1, got '{value}'" in err
 
+    @pytest.mark.parametrize("value", [" \u0665 ", "\u0665", "5_0", " 5", "5\n", "0x5", "", "+"])
+    def test_capacity_override_not_ascii_decimal(self, capsys, monkeypatch, bell_file, value):
+        # int() reads Arabic-Indic digits, underscores and surrounding whitespace.
+        monkeypatch.setenv("QSIM_MAX_QUBITS", value)
+        message = f"error: QSIM_MAX_QUBITS must be an integer, got {value!r}\n"
+        assert run_cli(capsys, "run", bell_file) == (3, "", message)
+
     @pytest.mark.parametrize(
         "qubits,backend,cap",
         [(63, "statevector", 24), (10**4, "statevector", 24)]
