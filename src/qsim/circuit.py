@@ -32,11 +32,11 @@ tile is one piece; where a kernel would copy it back, the two trade places.
 
 :func:`apply` runs a plan on n bits on a copy of a state vector,
 :func:`unitary` one on 2n bits on the identity, and :func:`apply_density`
-one on 2n bits twice on a copy of rho, each run followed by an in-place
-conjugate transpose by pairs of square tiles: U rho U† = (U (U rho)†)†,
-exact for any rho. From n = BLOCK_BITS on, the first n of 2n bits never
-reach the trailing block. Outputs come from valid inputs by unitary steps
-and are not validated again.
+one on 2n bits twice on a copy of rho, or on |psi><psi| built in place,
+each run followed by an in-place conjugate transpose by pairs of square
+tiles: U rho U† = (U (U rho)†)†, exact for any rho. From n = BLOCK_BITS
+on, the first n of 2n bits never reach the trailing block. Outputs come
+from valid inputs by unitary steps and are not validated again.
 
 :func:`embed` and :func:`unitary_of` build full matrices explicitly: the
 brute-force oracle the engine is tested against, on no library or CLI path.
@@ -55,7 +55,7 @@ from .errors import (
 )
 from .gates import Gate, _cycles, _monomial
 from .numerics import as_index
-from .qstate import DensityMatrix, StateVector, adopt_density, adopt_state
+from .qstate import DensityMatrix, StateVector, _projector, adopt_density, adopt_state
 
 # Trailing bits whose gates are fused into one zgemm (kernel 1). From a
 # per-wire sweep at 20 qubits: with 4, every dense 1-qubit gate outside the
@@ -352,14 +352,21 @@ def apply(circuit: Circuit, state: StateVector) -> StateVector:
     return adopt_state(_run(_plan(circuit, circuit.num_qubits), state.amplitudes.copy()))
 
 
-def apply_density(circuit: Circuit, rho: DensityMatrix) -> DensityMatrix:
-    """Conjugate a density matrix by the circuit: rho -> U rho U†."""
+def apply_density(circuit: Circuit, rho: DensityMatrix | StateVector) -> DensityMatrix:
+    """Conjugate a density matrix by the circuit: rho -> U rho U†.
+
+    A state vector psi stands for rho = |psi><psi|, built in the buffer the
+    engine then runs on, so the call holds one 4**n matrix, not two. The
+    qubit count and the density cap are checked before it is allocated.
+    """
     if rho.num_qubits != circuit.num_qubits:
         raise DimensionMismatchError(
-            f"density matrix has {rho.num_qubits} qubits, circuit has {circuit.num_qubits}"
+            f"input has {rho.num_qubits} qubits, circuit has {circuit.num_qubits}"
         )
     capacity.check("density", circuit.num_qubits)
-    buf, plan = rho.matrix.copy(), _plan(circuit, 2 * circuit.num_qubits)
+    # Dispatch on DensityMatrix: a traced run replaces this module's StateVector.
+    buf = rho.matrix.copy() if isinstance(rho, DensityMatrix) else _projector(rho.amplitudes)
+    plan = _plan(circuit, 2 * circuit.num_qubits)
     # U rho U† = (U (U rho)†)† for any rho, Hermitian or not.
     for _ in range(2):
         buf = _run(plan, buf)

@@ -28,7 +28,7 @@ from .algorithms import (
 from .circuit import Circuit, apply_density, unitary
 from .errors import QsimError
 from .qcf import ParseError
-from .qstate import to_density, zero_state
+from .qstate import to_density, zero_state  # noqa: F401  to_density: perfbench/spans.py wraps it by name
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -97,9 +97,9 @@ def _load_circuit(path: str) -> Circuit:
 
 
 def _format_density(circuit: Circuit, fmt: str) -> str:
-    # Checked before |0...0><0...0| is built: over the cap, that alone can exhaust memory.
+    # Checked before |0...0> is built: zero_state checks the larger statevector cap.
     capacity.check("density", circuit.num_qubits)
-    rho = apply_density(circuit, to_density(zero_state(circuit.num_qubits)))
+    rho = apply_density(circuit, zero_state(circuit.num_qubits))
     return measure.probabilities_density(rho).render(fmt)
 
 

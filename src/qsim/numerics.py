@@ -24,6 +24,9 @@ from .errors import DimensionMismatchError, NotHermitianError, NotSquareError
 
 DEFAULT_TOL = 1e-10
 
+# Entries of one block of rows in :func:`is_hermitian`: 512 KiB of complex128.
+HERMITIAN_BLOCK = 1 << 15
+
 
 def as_index(value):
     """``value`` as a Python int by ``operator.index``, or None for a bool or any non-integer.
@@ -68,9 +71,17 @@ def is_unitary(a, tol: float = DEFAULT_TOL) -> bool:
 
 
 def is_hermitian(a, tol: float = DEFAULT_TOL) -> bool:
-    """True iff max-norm of (a - a†) is within ``tol``."""
+    """True iff max-norm of (a - a†) is within ``tol``.
+
+    Compared a block of rows at a time, each of at most ``HERMITIAN_BLOCK``
+    entries (one row at least), so no temporary is the size of ``a``.
+    """
     m = _square(a)
-    return max_abs(m - m.conj().T) <= tol
+    rows = max(1, HERMITIAN_BLOCK // max(1, m.shape[0]))
+    return all(
+        max_abs(m[i : i + rows] - m[:, i : i + rows].conj().T) <= tol
+        for i in range(0, m.shape[0], rows)
+    )
 
 
 @dataclass(frozen=True)

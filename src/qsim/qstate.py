@@ -37,6 +37,11 @@ def _sumsq(a: np.ndarray) -> float:
     return float(np.sum(np.abs(a) ** 2))
 
 
+def _projector(amps: np.ndarray) -> np.ndarray:
+    """|a><a| as a fresh matrix: the one outer product of every pure-state density."""
+    return np.outer(amps, amps.conj())
+
+
 def _num_qubits_for(length: int) -> int:
     if length < 1 or length & (length - 1):
         raise NotPowerOfTwoError(f"length {length} is not a power of two")
@@ -187,7 +192,7 @@ def inner_product(a: StateVector, b: StateVector) -> complex:
 
 def to_density(s: StateVector) -> DensityMatrix:
     """Pure-state density matrix |s><s|."""
-    return adopt_density(np.outer(s.amplitudes, s.amplitudes.conj()))
+    return adopt_density(_projector(s.amplitudes))
 
 
 def from_ensemble(ensemble: MixedEnsemble) -> DensityMatrix:
@@ -207,7 +212,7 @@ def from_ensemble(ensemble: MixedEnsemble) -> DensityMatrix:
     dim = 1 << n
     acc = np.zeros((dim, dim), dtype=np.complex128)
     for p, s in entries:
-        acc += p * np.outer(s.amplitudes, s.amplitudes.conj())
+        acc += p * _projector(s.amplitudes)
     return adopt_density(acc)
 
 

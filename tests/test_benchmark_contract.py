@@ -51,7 +51,7 @@ def test_program_runs_under_the_tracer_wrappers(monkeypatch, capsys, tmp_path):
     traced = outputs()
     np.testing.assert_array_equal(traced[0], plain[0])
     assert traced[1:] == plain[1:]
-    assert {"circuit.apply", "measure.state", "circuit.apply_density", "qstate.to_density"} <= {
+    assert {"circuit.apply", "measure.state", "circuit.apply_density"} <= {
         span[1] for span in tracer.spans
     }
 

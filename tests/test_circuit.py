@@ -172,8 +172,22 @@ class TestApplyDensity:
             np.testing.assert_allclose(via_density, via_vector, atol=1e-10)
 
     def test_qubit_count_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            apply_density(BELL, to_density(zero_state(1)))
+        for rho in (to_density(zero_state(1)), zero_state(3)):
+            with pytest.raises(DimensionMismatchError):
+                apply_density(BELL, rho)
+
+    def test_state_vector_over_the_cap_allocates_nothing(self, monkeypatch):
+        n = 9
+        psi = zero_state(n)
+        monkeypatch.setenv("QSIM_MAX_QUBITS", str(n - 1))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                apply_density(Circuit(n), psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 4**n / 64
 
     def test_exact_for_rho_hermitian_only_to_roundoff(self, rng, random_circuit, random_state):
         # rho - rho† is about 1e-11, inside the 1e-10 validation tolerance. A

@@ -200,6 +200,22 @@ class TestRun:
         assert code == 3
         assert peak < 2**20
 
+    def test_density_holds_one_matrix(self, capsys, tmp_path):
+        # |0...0><0...0| is built in the engine's buffer, not beside it: the
+        # matrix, the engine's tile (1/32 of it at 10 qubits) and the output.
+        n = 10
+        path = tmp_path / "cap.qcf"
+        path.write_text(f"qubits {n}\nh 0\nh 9\ncnot 0 9\nswap 3 8\nt 5\n")
+        run_cli(capsys, "run", str(path), "--backend", "density", "--format", "csv")  # warm up imports
+        tracemalloc.start()
+        try:
+            code = main(["run", str(path), "--backend", "density", "--format", "csv"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 1.5 * 16 * 4**n
+
     def test_out_of_memory_is_exit_3_without_traceback(self, capsys, monkeypatch, bell_file):
         def exhausted(*args, **kwargs):
             raise MemoryError

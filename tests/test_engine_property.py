@@ -66,10 +66,12 @@ def test_engine_matches_unitary_of(c, block_bits, fold_wires, fold_block_bits, s
         mp.setattr(circuit, "FOLD_BLOCK_BITS", fold_block_bits)
         applied = circuit.apply(c, state).amplitudes
         conjugated = circuit.apply_density(c, rho).matrix
+        from_state = circuit.apply_density(c, state).matrix
         engine_u = circuit.unitary(c)
         plans = [circuit._plan(c, n), circuit._plan(c, 2 * n)]
     np.testing.assert_allclose(applied, u @ state.amplitudes, rtol=0, atol=1e-12)
     np.testing.assert_allclose(conjugated, u @ rho.matrix @ u.conj().T, rtol=0, atol=1e-12)
+    assert np.array_equal(from_state, conjugated)
     np.testing.assert_allclose(engine_u, u, rtol=0, atol=1e-12)
     for plan in plans:
         assert len(plan) <= len(c.instructions)

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from oracles import ConvergenceError, adjoint, identity, jacobi_eig_hermitian, kron, matmul
-from qsim import gates
+from qsim import gates, numerics
 from qsim.errors import (
     CapacityError,
     DimensionMismatchError,
@@ -117,6 +119,33 @@ class TestPredicates:
     def test_phase_gate_not_hermitian(self):
         # diag(1, i): the i entry is not its own conjugate.
         assert not is_hermitian(S, 1e-12)
+
+    @pytest.mark.parametrize("dim,block", [(1, 1), (5, 4), (50, 150), (100, 1 << 15)])
+    def test_blocks_agree_with_the_whole_difference(self, monkeypatch, rng, dim, block):
+        # Row blocks of block // dim rows, one at least: one row, 3 rows with
+        # a last block of 2, or the whole matrix.
+        monkeypatch.setattr(numerics, "HERMITIAN_BLOCK", block)
+        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        for i, j in [(0, 0), (dim - 1, 0), (dim // 2, dim - 1), (dim - 1, dim - 1)]:
+            m = a + a.conj().T
+            m[i, j] += 1e-6j
+            gap = float(np.max(np.abs(m - m.conj().T)))
+            assert is_hermitian(m, gap)
+            assert not is_hermitian(m, gap * (1 - 1e-9))
+
+    def test_peak_memory_is_a_block(self, rng):
+        dim = 1024
+        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        m = a + a.conj().T
+        tracemalloc.start()
+        try:
+            assert is_hermitian(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The finite check's boolean mask (1/16 of m) and one block's
+        # temporaries: a - a† whole took two matrices.
+        assert peak < 16 * dim**2 / 4
 
 
 class TestEigHermitian:
