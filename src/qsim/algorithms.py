@@ -43,7 +43,7 @@ def _integer(value, what: str) -> int:
     return n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroverSpec:
     """Search problem: n qubits, one marked basis index, k iterations.
 
@@ -61,7 +61,8 @@ class GroverSpec:
         iterations = _integer(self.iterations, "iterations")
         if num_qubits < 2:
             raise QsimError(f"Grover needs at least 2 qubits, got {num_qubits}")
-        if not 0 <= marked < (1 << num_qubits):
+        # By bit length: 1 << num_qubits of a huge count would not fit in memory.
+        if marked < 0 or marked.bit_length() > num_qubits:
             raise DimensionMismatchError(
                 f"marked index {marked} out of range for {num_qubits} qubits"
             )

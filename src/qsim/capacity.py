@@ -38,7 +38,10 @@ def limit(kind: str) -> int:
     if raw is not None:
         if not _INTEGER.fullmatch(raw):
             raise CapacityError(f"{ENV_OVERRIDE} must be an integer, got {raw!r}")
-        cap = int(raw)
+        try:
+            cap = int(raw)
+        except ValueError:  # more digits than int() converts (4300 by default)
+            raise CapacityError(f"{ENV_OVERRIDE} has too many digits ({len(raw)})") from None
         if cap < 1:
             raise CapacityError(f"{ENV_OVERRIDE} must be at least 1, got {raw!r}")
         return cap

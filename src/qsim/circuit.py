@@ -43,6 +43,7 @@ brute-force oracle the engine is tested against, on no library or CLI path.
 """
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,50 +80,40 @@ FOLD_WIRES = 6
 FOLD_BLOCK_BITS = 12
 
 
+@dataclass(frozen=True, slots=True)
 class Instruction:
     """One gate application: the gate plus the wires it acts on, in order."""
 
-    __slots__ = ("gate", "wires")
+    gate: Gate
+    wires: tuple[int, ...]
 
-    def __init__(self, gate: Gate, wires):
-        ws = tuple(map(as_index, wires))
-        if len(ws) != gate.arity:
+    def __post_init__(self):
+        ws = tuple(map(as_index, self.wires))
+        if len(ws) != self.gate.arity:
             raise ArityError(
-                f"gate {gate.label!r} expects {gate.arity} wires, got {len(ws)}"
+                f"gate {self.gate.label!r} expects {self.gate.arity} wires, got {len(ws)}"
             )
         if any(w is None or w < 0 for w in ws):
-            raise WireOutOfRangeError(f"wires must be non-negative integers, got {wires!r}")
+            raise WireOutOfRangeError(f"wires must be non-negative integers, got {self.wires!r}")
         if len(set(ws)) != len(ws):
             raise DuplicateWireError(f"wires must be distinct, got {ws}")
-        object.__setattr__(self, "gate", gate)
         object.__setattr__(self, "wires", ws)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Instruction is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Instruction)
-            and self.gate == other.gate
-            and self.wires == other.wires
-        )
-
-    def __hash__(self):
-        return hash((self.gate, self.wires))
 
     def __repr__(self):
         return f"Instruction({self.gate.label}, wires={self.wires})"
 
 
+@dataclass(frozen=True, slots=True)
 class Circuit:
     """An ordered gate sequence on ``num_qubits`` wires."""
 
-    __slots__ = ("num_qubits", "instructions")
+    num_qubits: int
+    instructions: tuple[Instruction, ...] = ()
 
-    def __init__(self, num_qubits: int, instructions=()):
-        if (n := as_index(num_qubits)) is None or n < 1:
-            raise DimensionMismatchError(f"circuit needs at least 1 qubit, got {num_qubits!r}")
-        instrs = tuple(instructions)
+    def __post_init__(self):
+        if (n := as_index(self.num_qubits)) is None or n < 1:
+            raise DimensionMismatchError(f"circuit needs at least 1 qubit, got {self.num_qubits!r}")
+        instrs = tuple(self.instructions)
         for instr in instrs:
             if max(instr.wires) >= n:
                 raise WireOutOfRangeError(
@@ -130,19 +121,6 @@ class Circuit:
                 )
         object.__setattr__(self, "num_qubits", n)
         object.__setattr__(self, "instructions", instrs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Circuit is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Circuit)
-            and self.num_qubits == other.num_qubits
-            and self.instructions == other.instructions
-        )
-
-    def __hash__(self):
-        return hash((self.num_qubits, self.instructions))
 
     def __repr__(self):
         return f"Circuit(num_qubits={self.num_qubits}, instructions={len(self.instructions)})"

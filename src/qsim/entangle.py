@@ -28,7 +28,7 @@ def _qubit(label) -> int:
     return q
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bipartition:
     """A split of the qubits into two non-empty complementary groups."""
 
@@ -63,18 +63,12 @@ class Bipartition:
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    """Reduced density matrix over ``keep`` (ascending qubit order preserved)."""
+    """Reduced density matrix over ``keep`` (ascending qubit order preserved).
+
+    ``keep`` must be a valid side A of :meth:`Bipartition.split`.
+    """
     n = rho.num_qubits
-    requested = [_qubit(q) for q in keep]
-    kept = sorted(set(requested))
-    if len(kept) != len(requested):
-        raise SubsystemError(f"kept qubits must be distinct, got {tuple(requested)}")
-    if not kept:
-        raise SubsystemError("must keep at least one qubit")
-    if kept[0] < 0 or kept[-1] >= n:
-        raise SubsystemError(f"kept qubits {kept} out of range for {n} qubits")
-    if len(kept) == n:
-        raise SubsystemError("kept qubits must be a strict subset")
+    kept = list(Bipartition.split(n, keep).subsystem_a)
 
     # Row axis of qubit q is q, column axis n + q for a kept qubit; a traced
     # qubit's column axis shares the row's label, so einsum contracts them.

@@ -8,6 +8,7 @@ unitary's, before any O(d^3) work.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,16 +17,19 @@ from .errors import CapacityError, DimensionMismatchError, NotHermitianError, Qs
 from .qstate import DensityMatrix, StateVector, adopt_density
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class Hamiltonian:
     """A Hermitian energy operator with its hbar convention."""
 
-    __slots__ = ("matrix", "hbar")
+    matrix: np.ndarray
+    hbar: float = 1.0
 
-    def __init__(self, matrix, hbar: float = 1.0):
-        m = numerics.as_matrix(matrix)
+    def __post_init__(self):
+        m = numerics.as_matrix(self.matrix)
         # The propagator is an O(d^3) eigendecomposition: cap d as for unitaries.
+        # By bit length: 1 << cap of a huge QSIM_MAX_QUBITS would not fit in memory.
         cap = capacity.limit("unitary")
-        if m.shape[0] > 1 << cap:
+        if (m.shape[0] - 1).bit_length() > cap:
             raise CapacityError(
                 f"Hamiltonian dimension {m.shape[0]} exceeds {1 << cap}, "
                 f"the unitary path's limit of {cap} qubits"
@@ -33,14 +37,11 @@ class Hamiltonian:
         m = m.copy()
         if not numerics.is_hermitian(m):
             raise NotHermitianError("Hamiltonian must be Hermitian")
-        if not (hbar > 0.0 and math.isfinite(hbar)):
-            raise QsimError(f"hbar must be a positive finite real, got {hbar!r}")
+        if not (self.hbar > 0.0 and math.isfinite(self.hbar)):
+            raise QsimError(f"hbar must be a positive finite real, got {self.hbar!r}")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "hbar", float(hbar))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Hamiltonian is immutable")
+        object.__setattr__(self, "hbar", float(self.hbar))
 
     def __repr__(self):
         return f"Hamiltonian(dim={self.matrix.shape[0]}, hbar={self.hbar})"

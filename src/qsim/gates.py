@@ -14,6 +14,8 @@ state engine runs it as block moves and phase multiplies, described by
 ``cycles`` is None.
 """
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
 from . import numerics
@@ -53,31 +55,33 @@ def _cycles(source, phase):
     return tuple(cycles)
 
 
+@dataclass(frozen=True, slots=True)
 class Gate:
     """An immutable named unitary acting on ``arity`` qubits."""
 
-    __slots__ = ("label", "arity", "matrix", "cycles")
+    label: str
+    arity: int
+    matrix: np.ndarray
+    cycles: tuple | None = field(init=False)
 
-    def __init__(self, label: str, arity: int, matrix):
-        m = np.asarray(matrix, dtype=np.complex128).copy()
-        k = numerics.as_index(arity)
-        if k is None or k < 1 or m.shape != (2**k, 2**k):
+    def __post_init__(self):
+        m = np.asarray(self.matrix, dtype=np.complex128).copy()
+        k = numerics.as_index(self.arity)
+        d = m.shape[0] if m.ndim == 2 else 0
+        # Bit lengths first: 2**k of an unchecked huge arity would not fit in memory.
+        if k is None or k < 1 or m.shape != (d, d) or d.bit_length() != k + 1 or d != 1 << k:
             raise ArityError(
-                f"gate {label!r} needs an arity of at least 1 and a 2**arity-square matrix,"
-                f" got arity {arity!r} and shape {m.shape}"
+                f"gate {self.label!r} needs an arity of at least 1 and a 2**arity-square matrix,"
+                f" got arity {self.arity!r} and shape {m.shape}"
             )
         # Execution never re-validates its output, so a gate must keep norms.
         if not np.isfinite(m).all() or not numerics.is_unitary(m):
-            raise NotUnitaryError(f"gate {label!r} matrix is not unitary within 1e-10")
+            raise NotUnitaryError(f"gate {self.label!r} matrix is not unitary within 1e-10")
         m.setflags(write=False)
-        object.__setattr__(self, "label", label)
         object.__setattr__(self, "arity", k)
         object.__setattr__(self, "matrix", m)
         monomial = _monomial(m)
         object.__setattr__(self, "cycles", None if monomial is None else _cycles(*monomial))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Gate is immutable")
 
     def __eq__(self, other):
         return (

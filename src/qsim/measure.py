@@ -73,7 +73,7 @@ def _labels(indices, num_qubits: int) -> list[str]:
     return labels
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OutcomeDistribution:
     """Exact outcome probabilities over all 2**n basis states.
 
@@ -92,8 +92,9 @@ class OutcomeDistribution:
         if (n := as_index(self.num_qubits)) is None or n < 0:
             raise ProbabilityError("num_qubits must be a non-negative integer")
         probs = np.asarray(self.probabilities, dtype=np.float64).reshape(-1)
-        if probs.size != 1 << n:
-            raise ProbabilityError(f"expected {1 << n} probabilities, got {probs.size}")
+        # By bit length: 1 << n of a huge n would not fit in memory.
+        if probs.size.bit_length() != n + 1 or probs.size != 1 << n:
+            raise ProbabilityError(f"expected 2**{n} probabilities, got {probs.size}")
         # Written so that a NaN, which fails every comparison, fails the check.
         if not (probs.min() >= -PROB_TOL and probs.max() <= 1.0 + PROB_TOL):
             raise ProbabilityError("probabilities must lie in [0, 1]")
@@ -118,7 +119,7 @@ class OutcomeDistribution:
         return _render(fmt, header, "probabilities", rows, lambda p: f"{round(p, 9) + 0.0:.9f}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MeasurementRecord:
     """A single projective measurement: the observed label and collapsed state."""
 
@@ -126,7 +127,7 @@ class MeasurementRecord:
     post_state: StateVector
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ShotHistogram:
     """Counts per observed bitstring for a multi-shot run.
 

@@ -84,7 +84,7 @@ def is_hermitian(a, tol: float = DEFAULT_TOL) -> bool:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EigenDecomposition:
     """Spectral data of a Hermitian matrix.
 

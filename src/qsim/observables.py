@@ -5,6 +5,7 @@ An observable validates Hermiticity eagerly at construction, so every
 expectation value downstream is real up to roundoff.
 """
 
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -16,21 +17,19 @@ from .qstate import DensityMatrix, StateVector
 IMAG_TOL = 1e-10
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class Observable:
     """A labelled Hermitian matrix."""
 
-    __slots__ = ("label", "matrix")
+    label: str
+    matrix: np.ndarray
 
-    def __init__(self, label: str, matrix):
-        m = numerics.as_matrix(matrix).copy()
+    def __post_init__(self):
+        m = numerics.as_matrix(self.matrix).copy()
         if not numerics.is_hermitian(m):
-            raise NotHermitianError(f"observable {label!r} must be Hermitian")
+            raise NotHermitianError(f"observable {self.label!r} must be Hermitian")
         m.setflags(write=False)
-        object.__setattr__(self, "label", label)
         object.__setattr__(self, "matrix", m)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Observable is immutable")
 
     def __repr__(self):
         return f"Observable({self.label!r}, dim={self.matrix.shape[0]})"

@@ -14,6 +14,7 @@ before it allocates: over the cap, the array alone can exhaust memory.
 """
 
 from collections.abc import Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,13 +49,15 @@ def _num_qubits_for(length: int) -> int:
     return length.bit_length() - 1
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class StateVector:
     """Normalized complex amplitudes over the 2**n computational basis states."""
 
-    __slots__ = ("amplitudes", "num_qubits")
+    amplitudes: np.ndarray
+    num_qubits: int = field(init=False)
 
-    def __init__(self, amplitudes):
-        amps = np.array(amplitudes, dtype=np.complex128).reshape(-1)
+    def __post_init__(self):
+        amps = np.array(self.amplitudes, dtype=np.complex128).reshape(-1)
         n = _num_qubits_for(amps.size)
         if not np.isfinite(amps).all():
             raise NotNormalizedError("amplitudes must be finite")
@@ -67,13 +70,11 @@ class StateVector:
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "num_qubits", n)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("StateVector is immutable")
-
     def __repr__(self):
         return f"StateVector(num_qubits={self.num_qubits})"
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite matrix over 2**n basis states.
 
@@ -84,10 +85,11 @@ class DensityMatrix:
     partial traces, dephasing) return through :func:`adopt_density` instead.
     """
 
-    __slots__ = ("matrix", "num_qubits")
+    matrix: np.ndarray
+    num_qubits: int = field(init=False)
 
-    def __init__(self, matrix):
-        m = numerics.as_matrix(matrix).copy()
+    def __post_init__(self):
+        m = numerics.as_matrix(self.matrix).copy()
         if m.shape[0] != m.shape[1]:
             raise DimensionMismatchError(f"density matrix must be square, got {m.shape}")
         n = _num_qubits_for(m.shape[0])
@@ -105,21 +107,18 @@ class DensityMatrix:
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "num_qubits", n)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("DensityMatrix is immutable")
-
     def __repr__(self):
         return f"DensityMatrix(num_qubits={self.num_qubits})"
 
 
-def _adopt(cls, field: str, array: np.ndarray):
-    """An unvalidated ``cls`` whose ``field`` is ``array``, 2**n long on axis 0.
+def _adopt(cls, name: str, array: np.ndarray):
+    """An unvalidated ``cls`` whose field ``name`` is ``array``, 2**n long on axis 0.
 
     Also used by ``measure`` for distributions derived from valid states.
     """
     obj = object.__new__(cls)
     array.setflags(write=False)
-    object.__setattr__(obj, field, array)
+    object.__setattr__(obj, name, array)
     object.__setattr__(obj, "num_qubits", _num_qubits_for(array.shape[0]))
     return obj
 

@@ -56,6 +56,14 @@ class TestGroverSpec:
         with pytest.raises(DimensionMismatchError):
             GroverSpec(2, 4, 1)
 
+    def test_huge_qubit_count_is_left_to_the_capacity_check(self):
+        # Bounding marked by 1 << num_qubits overflowed (or exhausted memory) first.
+        spec = GroverSpec(10**30, 0, 1)
+        with pytest.raises(CapacityError):
+            grover_run(spec)
+        with pytest.raises(DimensionMismatchError, match="out of range"):
+            GroverSpec(10**30, -1, 1)
+
     def test_rejects_negative_iterations(self):
         with pytest.raises(QsimError):
             GroverSpec(2, 0, -1)

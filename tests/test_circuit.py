@@ -91,6 +91,11 @@ class TestConstruction:
         with pytest.raises(ArityError, match="at least 1"):
             gates.Gate("I0", 0, [[1]])
 
+    def test_gate_of_a_huge_arity(self):
+        # Comparing the shape with 2**arity ground for seconds, then ran out of memory.
+        with pytest.raises(ArityError, match="got arity 1000000000000000000000000000000 "):
+            gates.Gate("U", 10**30, [[1]])
+
     def test_circuit_needs_a_qubit(self):
         with pytest.raises(DimensionMismatchError):
             Circuit(0)

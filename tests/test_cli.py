@@ -174,6 +174,12 @@ class TestRun:
         message = f"error: QSIM_MAX_QUBITS must be an integer, got {value!r}\n"
         assert run_cli(capsys, "run", bell_file) == (3, "", message)
 
+    def test_capacity_override_beyond_int_digits(self, capsys, monkeypatch, bell_file):
+        # int() refuses more than 4300 digits: a ValueError traceback and exit 1.
+        monkeypatch.setenv("QSIM_MAX_QUBITS", "9" * 5000)
+        message = "error: QSIM_MAX_QUBITS has too many digits (5000)\n"
+        assert run_cli(capsys, "run", bell_file) == (3, "", message)
+
     @pytest.mark.parametrize(
         "qubits,backend,cap",
         [(63, "statevector", 24), (10**4, "statevector", 24)]
@@ -424,6 +430,13 @@ class TestGrover:
         # The optimal count for 2100 qubits overflows a float and, for 5000,
         # divides by zero: the cap must come first.
         code, out, err = run_cli(capsys, "grover", qubits, "0")
+        assert (code, out) == (3, "")
+        assert err == f"error: grover path supports at most 20 qubits, got {qubits}\n"
+
+    def test_capacity_with_explicit_iterations(self, capsys):
+        # GroverSpec built 1 << qubits to bound the marked index: an OverflowError traceback.
+        qubits = str(10**30)
+        code, out, err = run_cli(capsys, "grover", qubits, "0", "--iterations", "1")
         assert (code, out) == (3, "")
         assert err == f"error: grover path supports at most 20 qubits, got {qubits}\n"
 

@@ -28,6 +28,11 @@ class TestHamiltonian:
             Hamiltonian(np.eye(16))
         assert Hamiltonian(np.eye(8)).matrix.shape == (8, 8)
 
+    def test_huge_cap(self, monkeypatch):
+        # Comparing the dimension with 1 << cap overflowed.
+        monkeypatch.setenv("QSIM_MAX_QUBITS", str(10**30))
+        assert Hamiltonian([[1.0]]).matrix.shape == (1, 1)
+
     def test_rejects_nonfinite_duration(self):
         with pytest.raises(QsimError):
             evolve(H_Z, np.inf, zero_state(1))

@@ -141,6 +141,11 @@ class TestProbabilities:
         with pytest.raises(ProbabilityError):
             OutcomeDistribution(2, [1.0, 0.0])
 
+    def test_distribution_of_a_huge_num_qubits(self):
+        # Comparing the size with 1 << n overflowed, or exhausted memory, first.
+        with pytest.raises(ProbabilityError, match=r"expected 2\*\*1000000000000000000000000000000 "):
+            OutcomeDistribution(10**30, [1.0])
+
     @pytest.mark.parametrize("num_qubits", [-1, 2.5, 1.0, True, np.True_, "1", None])
     def test_distribution_num_qubits_is_a_non_negative_integer(self, num_qubits):
         with pytest.raises(ProbabilityError, match="num_qubits"):
