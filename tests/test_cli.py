@@ -1,4 +1,5 @@
 import json
+import pathlib
 import re
 import tracemalloc
 
@@ -9,6 +10,18 @@ from qsim import circuit, cli, measure, qcf
 from qsim.cli import main
 
 BELL_TEXT = "qubits 2\nh 0\ncnot 0 1\n"
+
+# Circuits and the stdout qsim printed for them, committed before the gate
+# engine's below-tile planning changed: three 1000-shot runs in the shape of
+# the benchmark's shots workload (a Hadamard on every wire, then 24 library
+# gates, an H on wire n-5 among them) and one 9-qubit density run.
+DATA = pathlib.Path(__file__).parent / "data"
+GOLDEN_RUNS = {
+    "shots12.json": ("shots12.qcf", "--shots", "1000", "--seed", "1531110822167931618", "--format", "json"),
+    "shots13.json": ("shots13.qcf", "--shots", "1000", "--seed", "5937730311083052272", "--format", "json"),
+    "shots14.json": ("shots14.qcf", "--shots", "1000", "--seed", "1470387076691373629", "--format", "json"),
+    "density9.csv": ("density9.qcf", "--backend", "density", "--format", "csv"),
+}
 
 
 @pytest.fixture
@@ -277,6 +290,12 @@ class TestGoldenOutput:
         path.write_text(DENSITY_ZEROS_TEXT)
         argv = ("run", str(path), "--backend", "density", "--format", fmt)
         assert run_cli(capsys, *argv) == (0, DENSITY_ZEROS[fmt], "")
+
+    @pytest.mark.parametrize("golden", sorted(GOLDEN_RUNS))
+    def test_committed_stdout(self, capsys, golden):
+        qcf_name, *flags = GOLDEN_RUNS[golden]
+        expected = (DATA / golden).read_text(encoding="utf-8")
+        assert run_cli(capsys, "run", str(DATA / qcf_name), *flags) == (0, expected, "")
 
     def test_hand_built_histogram(self):
         # Counts of 1 to 4 digits, and labels that csv.writer must quote.
