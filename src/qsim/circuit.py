@@ -7,36 +7,38 @@ One gate engine replaces M by U @ M in place, acting on the row bits of M
 only: O(size of M) per pass, no 2**n x 2**n gate matrix, and no second
 M-sized buffer. It plans, then runs. In :func:`_schedule` an instruction
 moves back past passes on other wires, which commute with it, and joins
-the latest one it fits, a run on the last ``BLOCK_BITS`` bits or a
-monomial run above them on at most ``FOLD_WIRES`` wires (fewer on a small
-M), or is alone. :func:`_plan` folds each run once, by the engine on the
-identity of its wires (:func:`_fold`), into a (kernel, wires, operand)
-pass. :func:`_run`, the one place a kernel is picked, works one piece of
-at most a ``TILE``-entry scratch tile at a time. An M no larger than the
-tile is one piece; where a kernel would copy it back, the two trade places.
+the latest one it fits, a window run in one group of ``BLOCK_BITS`` wires
+counted back from the last, or a monomial run above the last group on at
+most ``FOLD_WIRES`` wires (fewer on a small M), or is alone. Only the last
+group holds windows when M outgrows the ``TILE``-entry scratch tile and a
+pass is a trip through memory; every group does when M fits and a pass is
+a few numpy calls, so the benchmark's 12-14-qubit shots circuits take
+12-14 passes, not 20-31. :func:`_plan` folds each run once (:func:`_fold`)
+into a (kernel, wires, operand) pass. :func:`_run`, the one place a kernel
+is picked, works one piece of at most a tile at a time. An M no larger
+than the tile is one piece; where a kernel would copy it back, the two
+trade places.
 
 - "scale", a run that folds to a diagonal: one in-place broadcast multiply.
-- "zgemm", a trailing run that folds to a dense matrix (kernel 1): one
-  zgemm per tile of M's rows of 2**BLOCK_BITS, where a strided view gives
-  numpy one inner loop per 2-16 entries, into the tile and copied back.
-- "dense" on one wire, above the block and so of stride s >= 2**BLOCK_BITS
-  (kernel 2): one (2, 2) @ (outer, 2, s) matmul per piece, split along
-  outer, or along s when one outer slice outgrows the tile, into the tile
-  and copied back.
+- "window", a run folded to a 2**k x 2**k matrix on a group's k wires, or a
+  lone dense 1-qubit gate: one matmul per piece of the view (outer, 2**k,
+  inner) into the tile, copied back; at inner 1, rows of 2**k times the
+  transpose, one zgemm. A piece keeps (2**k, inner) slabs whole, so the
+  bits do not depend on the cut; only a one-wire window cuts a slab that
+  outgrows the tile.
 - "move", a lone monomial gate or a run that folds to a monomial, and
-  "dense" on more wires (kernel 3): a move re-phases or moves each block
-  one piece at a time, each one ``np.multiply(phase, src, out=dst)``, phase
-  1 included, which numpy makes with no copy; only the first block's piece
-  of a cycle is held in the tile. A dense pass writes the output blocks of
-  each piece into the tile and copies them back.
+  "dense", a lone dense gate on more wires: a move re-phases or moves each
+  block one piece at a time, each one ``np.multiply(phase, src, out=dst)``,
+  phase 1 included, which numpy makes with no copy; only the first block's
+  piece of a cycle is held in the tile. A dense pass writes the output
+  blocks of each piece into the tile and copies them back.
 
 :func:`apply` runs a plan on n bits on a copy of a state vector,
 :func:`unitary` one on 2n bits on the identity, and :func:`apply_density`
 one on 2n bits twice on a copy of rho, or on |psi><psi| built in place,
 each run followed by an in-place conjugate transpose by pairs of square
-tiles: U rho U† = (U (U rho)†)†, exact for any rho. From n = BLOCK_BITS
-on, the first n of 2n bits never reach the trailing block. Outputs come
-from valid inputs by unitary steps and are not validated again.
+tiles: U rho U† = (U (U rho)†)†, exact for any rho. Outputs come from
+valid inputs by unitary steps and are not validated again.
 
 :func:`embed` and :func:`unitary_of` build full matrices explicitly: the
 brute-force oracle the engine is tested against, on no library or CLI path.
@@ -48,22 +50,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import capacity
-from .errors import (
-    ArityError,
-    DimensionMismatchError,
-    DuplicateWireError,
-    WireOutOfRangeError,
-)
+from .errors import ArityError, DimensionMismatchError, DuplicateWireError, WireOutOfRangeError
 from .gates import Gate, _cycles, _monomial
 from .numerics import as_index
 from .qstate import DensityMatrix, StateVector, _projector, adopt_density, adopt_state
 
-# Trailing bits whose gates are fused into one zgemm (kernel 1). From a
-# per-wire sweep at 20 qubits: with 4, every dense 1-qubit gate outside the
-# block has a stride of at least 16, where the broadcast matmul is no slower
-# than the block loop, so kernel 2 needs no stride threshold; 3 would leave
-# wire n-4 to kernels about 3x slower than the block, and 5 makes every
-# block pass cost about 1.5x more.
+# Wires of a window group. From a per-wire sweep at 20 qubits: with 4, every
+# lone dense 1-qubit gate above the last group has a stride of at least 16,
+# where its one-wire window is no slower than the block loop; 3 would leave
+# wire n-4 to kernels about 3x slower than the last window, and 5 makes
+# every pass of it cost about 1.5x more.
 BLOCK_BITS = 4
 
 # Entries of the engine's one scratch tile: 512 KiB of complex128, a quarter
@@ -181,7 +177,7 @@ def _through(buf, tile, view, pieces, write):
 
 
 def _move(buf, tile, cycles, wires) -> None:
-    """Run the ``cycles`` of :func:`gates._cycles` on ``wires`` of the flat ``buf`` in place (kernel 3)."""
+    """Run the ``cycles`` of :func:`gates._cycles` on ``wires`` of the flat ``buf`` in place."""
     blocks = _blocks(buf, wires)
     bits = list(itertools.product((0, 1), repeat=len(wires)))
     pieces = _pieces(blocks.shape[len(wires) :], tile.size)
@@ -197,30 +193,45 @@ def _move(buf, tile, cycles, wires) -> None:
 
 
 def _lone(gate: Gate, wires) -> tuple:
-    """The pass of ``gate`` alone on ``wires``: block moves of its cycles, or its dense matrix."""
-    return ("dense", wires, gate.matrix) if gate.cycles is None else ("move", wires, gate.cycles)
+    """The pass of ``gate`` alone on ``wires``: block moves of its cycles, a window of one wire, or its dense matrix."""
+    kernel = "move" if gate.cycles is not None else "window" if len(wires) == 1 else "dense"
+    return kernel, wires, gate.matrix if gate.cycles is None else gate.cycles
 
 
-def _fold(run, wires) -> np.ndarray:
-    """The 2**k x 2**k unitary of ``run`` on the k sorted ``wires``: its lone passes on I."""
-    plan = [_lone(instr.gate, [wires.index(w) for w in instr.wires]) for instr in run]
-    return _run(plan, np.eye(1 << len(wires), dtype=np.complex128))
+def _fold(run, wires, spread=False) -> np.ndarray:
+    """The 2**k x 2**k unitary of ``run`` on the k sorted ``wires``: its lone passes on I.
+
+    A dense 1-qubit gate, or with ``spread`` any, is one matmul by hand.
+    """
+    d = 1 << len(wires)
+    m = np.eye(d, dtype=np.complex128)
+    for instr in run:
+        gate = instr.gate
+        if gate.arity == 1 and (spread or gate.cycles is None):
+            m = np.matmul(gate.matrix, m.reshape(1 << wires.index(instr.wires[0]), 2, -1)).reshape(d, d)
+        else:
+            m = _run([_lone(gate, [wires.index(w) for w in instr.wires])], m)
+    return m
 
 
-def _schedule(instructions, low: int, width: int) -> list:
+def _schedule(instructions, low: int, width: int, spread: bool = False) -> list:
     """The passes of the module docstring, as [kind, wires, run] lists.
 
-    A "block" run lies from wire ``low`` on, a "fold" run below it on at
-    most ``width`` wires, and an instruction of kind None runs alone.
+    Wires group by ``BLOCK_BITS`` from ``low`` on. A window run lies in the
+    group from ``low`` or, when ``spread``, in any; its kind is the group's
+    first wire. A "fold" run lies below ``low`` on at most ``width`` wires.
     """
     items = []
     for instr in instructions:
         ws = set(instr.wires)
+        first = min(ws)
+        start = first - (first - low) % BLOCK_BITS if BLOCK_BITS else low
+        window = start <= first and max(ws) < start + BLOCK_BITS and (spread or start == low)
         fold = max(ws) < low and len(ws) <= width and instr.gate.cycles is not None
-        kind = "block" if min(ws) >= low else "fold" if fold else None
+        kind = start if window else "fold" if fold else None
         target = None
-        for item in reversed(items if kind else ()):
-            if item[0] == kind and (kind == "block" or len(item[1] | ws) <= width):
+        for item in reversed(items if kind is not None else ()):
+            if item[0] == kind and (kind != "fold" or len(item[1] | ws) <= width):
                 target = item
             if target or not item[1].isdisjoint(ws):
                 break
@@ -235,23 +246,25 @@ def _plan(circuit: Circuit, nbits: int) -> list:
     """The circuit on the first of ``nbits`` row bits: one (kernel, wires, operand) pass per item of :func:`_schedule`.
 
     A lone gate's pass is :func:`_lone`'s; a fused run's holds its fold's
-    diagonal, its monomial cycles, or the transpose of its dense block.
+    diagonal, its monomial cycles, or its window's matrix on the group's
+    wires up to the circuit's last.
     """
     low = nbits - min(BLOCK_BITS, nbits)
+    spread = 1 << nbits <= TILE
     plan = []
-    for kind, wires, run in _schedule(circuit.instructions, low, min(FOLD_WIRES, nbits - FOLD_BLOCK_BITS)):
-        if kind != "block" and len(run) == 1:
+    for kind, wires, run in _schedule(circuit.instructions, low, min(FOLD_WIRES, nbits - FOLD_BLOCK_BITS), spread):
+        if kind in ("fold", None) and len(run) == 1:
             plan.append(_lone(run[0].gate, run[0].wires))
             continue
-        wires = range(low, nbits) if kind == "block" else sorted(wires)
-        m = _fold(run, wires)
+        wires = sorted(wires) if kind == "fold" else range(max(kind, 0), min(kind + BLOCK_BITS, circuit.num_qubits))
+        m = _fold(run, wires, spread)
         diagonal = np.diagonal(m)
         if np.count_nonzero(m) == np.count_nonzero(diagonal):
             plan.append(("scale", wires, diagonal))
         elif kind == "fold":
             plan.append(("move", wires, _cycles(*_monomial(m))))
         else:
-            plan.append(("zgemm", wires, m.T))
+            plan.append(("window", wires, m))
     return plan
 
 
@@ -259,13 +272,15 @@ def _run(plan, buf):
     """U @ buf: each pass of ``plan`` on the row bits of ``buf``, on the kernel of its kind.
 
     The tile holds ``min(TILE, buf.size)`` entries, raised to a row of the
-    trailing block and two entries per block of a dense pass should that be
-    smaller. The result is ``buf`` or the tile, shaped like ``buf``.
+    last group, two entries per block of a dense pass and a slab of a window
+    of k > 1 wires should that be smaller. The result is ``buf`` or the
+    tile, shaped like ``buf``.
     """
     flat = buf.reshape(-1)
-    dense_bits = [len(wires) + 1 for kernel, wires, _ in plan if kernel == "dense"]
-    widest = max([min(BLOCK_BITS, flat.size.bit_length() - 1)] + dense_bits)
-    tile = np.empty(max(min(TILE, flat.size), 1 << widest), dtype=flat.dtype)
+    nbits = flat.size.bit_length() - 1
+    widest = [min(BLOCK_BITS, nbits)] + [len(ws) + 1 for kernel, ws, _ in plan if kernel == "dense"]
+    widest += [nbits - ws[0] if len(ws) > 1 else 1 for kernel, ws, _ in plan if kernel == "window"]
+    tile = np.empty(max(min(TILE, flat.size), 1 << max(widest)), dtype=flat.dtype)
     for kernel, wires, operand in plan:
         k = len(wires)
         if kernel == "scale":
@@ -273,15 +288,15 @@ def _run(plan, buf):
             np.multiply(blocks, operand.reshape((2,) * k + (1,) * (blocks.ndim - k)), out=blocks)
         elif kernel == "move":
             _move(flat, tile, operand, wires)
-        elif kernel == "zgemm":
-            rows = flat.reshape(-1, 1 << k)
-            pieces = _pieces((len(rows),), tile.size >> k)
-            flat, tile = _through(flat, tile, rows, pieces, lambda src, out: np.matmul(src, operand, out=out))
-        elif k == 1:
-            pairs = flat.reshape(-1, 2, flat.size >> (wires[0] + 1))
-            # A piece keeps both rows of the gate: it splits (outer, stride) only.
-            pieces = [p[:1] + (slice(None),) + p[1:] for p in _pieces(pairs.shape[::2], tile.size >> 1)]
-            flat, tile = _through(flat, tile, pairs, pieces, lambda src, out: np.matmul(operand, src, out=out))
+        elif kernel == "window":
+            inner = flat.size >> (wires[-1] + 1)
+            slabs = flat.reshape(-1, 1 << k, inner)
+            # A piece splits (outer, inner) only. At inner 1 it is rows times M.T, one zgemm.
+            pieces = [p[:1] + (slice(None),) + p[1:] for p in _pieces(slabs.shape[::2], tile.size >> k)]
+            if inner == 1:
+                flat, tile = _through(flat, tile, slabs[..., 0], pieces, lambda src, out: np.matmul(src, operand.T, out=out))
+            else:
+                flat, tile = _through(flat, tile, slabs, pieces, lambda src, out: np.matmul(operand, src, out=out))
         else:
             # Row r of a piece's output is g[r,0]*b0 + g[r,1]*b1 + ..., left to right.
             def dense(src, out):

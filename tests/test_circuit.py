@@ -1,3 +1,4 @@
+import functools
 import itertools
 import tracemalloc
 
@@ -434,11 +435,14 @@ class TestGateEngine:
 
 
 class TestKernels:
-    """The fused trailing block, the broadcast matmul and the block loop at one size.
+    """The window kernel, the block moves and the block loop at one size.
 
     With N = 8, wires 4-7 are the trailing ``BLOCK_BITS`` bits and wires 0-3
-    lie above them, so every kernel runs and gates straddle the boundary.
-    Every result is checked against ``unitary_of`` at 1e-12.
+    lie above them, so gates straddle the boundary. The state fits the
+    default tile, so a run in either group of four wires is one window; with
+    the tile cut to half the state, only the trailing group is, and a lone
+    dense gate above it is a one-wire window or a dense block. ``check``
+    runs both plans against ``unitary_of`` at 1e-12.
     """
 
     N = 8
@@ -446,6 +450,9 @@ class TestKernels:
     def check(self, c, s):
         expected = unitary_of(c) @ s.amplitudes
         np.testing.assert_allclose(apply(c, s).amplitudes, expected, rtol=0, atol=1e-12)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "TILE", 1 << (self.N - 1))
+            np.testing.assert_allclose(apply(c, s).amplitudes, expected, rtol=0, atol=1e-12)
 
     def test_size_reaches_every_kernel(self):
         assert 0 < self.N - BLOCK_BITS < self.N
@@ -472,13 +479,15 @@ class TestKernels:
         runs = []
         fold = engine._fold
 
-        def spy(run, wires):
+        def spy(run, wires, *spread):
             run = list(run)
             runs.append([instr.wires for instr in run])
-            return fold(run, wires)
+            return fold(run, wires, *spread)
 
         monkeypatch.setattr(engine, "_fold", spy)
-        # Wires 0-3 lie above the block. X 2, H 0 and CNOT 3-5 share no wire
+        monkeypatch.setattr(engine, "TILE", 1 << (self.N - 1))
+        # With the state larger than the tile, wires 0-3 lie above the only
+        # window, the trailing block. X 2, H 0 and CNOT 3-5 share no wire
         # with the block's run, so later gates in the block move back past
         # them and join it; T 5 shares wire 5 with CNOT 3-5, which splits it.
         steps = [
@@ -494,12 +503,16 @@ class TestKernels:
             (gates.H, (4,)),
             (gates.T, (5,)),
         ]
-        self.check(Circuit(self.N, [Instruction(gate, w) for gate, w in steps]), random_state(rng, self.N))
+        c = Circuit(self.N, [Instruction(gate, w) for gate, w in steps])
+        expected = unitary_of(c)
+        s = random_state(rng, self.N)
+        np.testing.assert_allclose(apply(c, s).amplitudes, expected @ s.amplitudes, rtol=0, atol=1e-12)
         assert runs == [[(5,), (6, 7), (4,), (7,), (6,), (4, 7), (4,)], [(5,)]]
 
     def test_diagonal_runs_multiply_in_place(self, monkeypatch, rng, random_state):
         # T Z S T folds to a diagonal, and so does X S X, a product of
-        # non-diagonal gates: neither makes a zgemm, so a matmul is refused.
+        # non-diagonal gates: neither runs a window, so a matmul is refused
+        # once the plan is made (its fold may use one).
         steps = [(gates.T, 7), (gates.Z, 4), (gates.S, 6), (gates.T, 5)]
         diagonal = Circuit(self.N, [Instruction(gate, (w,)) for gate, w in steps])
         xsx = Circuit(self.N, [Instruction(gate, (6,)) for gate in (gates.X, gates.S, gates.X)])
@@ -510,9 +523,10 @@ class TestKernels:
 
         for c in (diagonal, xsx):
             buf = s.amplitudes.copy()
+            plan = engine._plan(c, self.N)
             with monkeypatch.context() as patch:
                 patch.setattr(np, "matmul", refuse)
-                engine._run(engine._plan(c, self.N), buf)
+                engine._run(plan, buf)
             np.testing.assert_allclose(buf, unitary_of(c) @ s.amplitudes, rtol=0, atol=1e-12)
 
     def test_dense_one_qubit_gates_never_slice_blocks(self, monkeypatch, rng, random_state):
@@ -540,13 +554,15 @@ class TestKernels:
 
     @pytest.mark.parametrize("tile", [4, 16, 64])
     def test_every_kernel_in_pieces(self, tile, monkeypatch, rng, random_state):
-        # At 8 qubits a tile of 16 (4 is raised to a row of the fold) or 64
-        # entries cuts every kernel into several pieces: the fold into rows,
-        # the broadcast matmul along s (wires 0-1) and along outer (wires 2-3
-        # at 64), monomial cycles and dense 2- and 3-qubit blocks.
+        # One plan gives the same bits however it is cut. Each circuit's
+        # plan is made once at the default tile and once at half the state,
+        # and run whole and at a tile of 16 (4 is raised to a row of the
+        # trailing window) or 64 entries: the trailing window into rows,
+        # one-wire windows along the stride (wires 0-1) and along outer
+        # (wires 2-3 at 64), monomial cycles and dense 2- and 3-qubit
+        # blocks. A window of more wires is cut along outer only.
         s = random_state(rng, self.N)
         for name, c in self.every_kernel(rng, self.N).items():
-            whole = apply(c, s).amplitudes
             counts = []
             pieces = engine._pieces
 
@@ -555,22 +571,29 @@ class TestKernels:
                 counts.append(len(cut))
                 return cut
 
-            with monkeypatch.context() as patch:
-                patch.setattr(engine, "TILE", tile)
-                patch.setattr(engine, "_pieces", spy)
-                out = apply(c, s).amplitudes
+            for plan_tile in (engine.TILE, 1 << (self.N - 1)):
+                with monkeypatch.context() as patch:
+                    patch.setattr(engine, "TILE", plan_tile)
+                    plan = engine._plan(c, self.N)
+                whole = engine._run(plan, s.amplitudes.copy())
+                with monkeypatch.context() as patch:
+                    patch.setattr(engine, "TILE", tile)
+                    patch.setattr(engine, "_pieces", spy)
+                    out = engine._run(plan, s.amplitudes.copy())
+                np.testing.assert_allclose(out, unitary_of(c) @ s.amplitudes, rtol=0, atol=1e-12)
+                np.testing.assert_array_equal(out, whole)
             assert max(counts) > 1, name
-            np.testing.assert_allclose(out, unitary_of(c) @ s.amplitudes, rtol=0, atol=1e-12)
-            np.testing.assert_array_equal(out, whole)
 
     @pytest.mark.parametrize("tile", [4, 16, 64])
     def test_unitary_and_density_in_pieces(self, tile, monkeypatch, rng, random_state):
         # At 6 qubits the matrices hold 4096 entries: the row passes run in
         # pieces, and apply_density's adjoint in square tiles of edge 2, 4
-        # and 8, far smaller than the 64 x 64 matrix.
+        # and 8, far smaller than the 64 x 64 matrix. Each plan is made
+        # once, at the default tile, and run at the patched one.
         n = 6
         c = Circuit(n, [instr for run in self.every_kernel(rng, n).values() for instr in run.instructions])
         rho = to_density(random_state(rng, n))
+        monkeypatch.setattr(engine, "_plan", functools.cache(engine._plan))
         whole = unitary(c), apply_density(c, rho).matrix
         with monkeypatch.context() as patch:
             patch.setattr(engine, "TILE", tile)
@@ -582,14 +605,16 @@ class TestKernels:
         np.testing.assert_array_equal(out, whole[1])
 
     def test_large_state_in_pieces_matches_one_piece(self, monkeypatch, rng, random_state):
-        # At 18 qubits the default tile cuts every kernel; a tile as large as
-        # the state runs each in one piece, with the same result to the bit.
+        # At 18 qubits the default tile cuts every kernel; the same plan run
+        # with a tile as large as the state runs each in one piece, with the
+        # same result to the bit.
         n = 18
         c = Circuit(n, [instr for run in self.every_kernel(rng, n).values() for instr in run.instructions])
         s = random_state(rng, n)
-        out = apply(c, s).amplitudes
+        plan = engine._plan(c, n)
+        out = engine._run(plan, s.amplitudes.copy())
         monkeypatch.setattr(engine, "TILE", 1 << n)
-        np.testing.assert_array_equal(out, apply(c, s).amplitudes)
+        np.testing.assert_array_equal(out, engine._run(plan, s.amplitudes.copy()))
 
     @pytest.mark.parametrize("n", range(1, BLOCK_BITS + 1))
     def test_circuits_no_wider_than_the_block(self, n, rng, random_circuit, random_state):
@@ -647,6 +672,8 @@ class TestMonomialFold:
     At N = 8 with the trailing block cut to one bit and folds allowed blocks
     of two entries, wires 0-6 lie above the block and a fold may span all
     ``FOLD_WIRES`` of them; at full size both constants keep their values.
+    The tile is cut below the 8-qubit state, so that every plan is made by
+    the rule for states larger than the tile, the one that folds.
     """
 
     N = 8
@@ -655,6 +682,7 @@ class TestMonomialFold:
     def small(self, monkeypatch):
         monkeypatch.setattr(engine, "BLOCK_BITS", 1)
         monkeypatch.setattr(engine, "FOLD_BLOCK_BITS", 1)
+        monkeypatch.setattr(engine, "TILE", 1 << (self.N - 1))
 
     @pytest.fixture
     def moves(self, monkeypatch):
@@ -662,10 +690,10 @@ class TestMonomialFold:
         moves, folding = [], []
         fold, move = engine._fold, engine._move
 
-        def fold_spy(run, wires):
+        def fold_spy(run, wires, *spread):
             folding.append(wires)
             try:
-                return fold(run, wires)
+                return fold(run, wires, *spread)
             finally:
                 folding.pop()
 
@@ -758,7 +786,7 @@ class TestMonomialFold:
             ("fold", [0, 1], [(0,), (0, 1), (1,)]),
             (None, [3], [(3,)]),
             (None, [4, 5], [(4, 5)]),
-            ("block", [7], [(7,), (7,)]),
+            (7, [7], [(7,), (7,)]),
         ]
         self.check(c, random_state(rng, self.N))
 
@@ -780,16 +808,30 @@ class TestMonomialFold:
         self.check(c, random_state(rng, self.N))
 
     @staticmethod
-    def benchmark_circuits(n, copies, stream, seed=1):
-        """A benchmark workload's circuits: each library gate ``copies`` times on fixed wires, in seeded orders."""
-        rng = np.random.default_rng(stream)
-        layout = [
-            (gates.standard_gate(label), tuple(int(w) for w in rng.choice(n, gates.standard_gate(label).arity, replace=False)))
+    def layout(n, copies, key):
+        """Each library gate ``copies`` times, on wires drawn from the stream ``key``."""
+        rng = np.random.default_rng(key)
+        return [
+            Instruction(gates.standard_gate(label), tuple(int(w) for w in rng.choice(n, gates.standard_gate(label).arity, replace=False)))
             for label in ("x", "y", "z", "s", "t", "h", "swap", "cnot")
             for _ in range(copies)
         ]
+
+    def benchmark_circuits(self, n, copies, stream, seed=1):
+        """A benchmark workload's circuits: its layout in seeded orders."""
+        layout = self.layout(n, copies, stream)
         orders = np.random.default_rng([seed, stream])
-        return [Circuit(n, [Instruction(*layout[k]) for k in orders.permutation(len(layout))]) for _ in range(6)]
+        return [Circuit(n, [layout[k] for k in orders.permutation(len(layout))]) for _ in range(6)]
+
+    def shots_circuits(self, seed=1):
+        """The shots workload's circuits: a Hadamard on every wire, then 24 gates in seeded orders."""
+        orders, circuits = np.random.default_rng([seed, 2]), []
+        for n in (12, 13, 14, 12, 13, 14, 13):
+            layout = self.layout(n, 3, [2, n])
+            hadamards = [Instruction(gates.H, (w,)) for w in range(n)]
+            circuits.append(Circuit(n, hadamards + [layout[k] for k in orders.permutation(len(layout))]))
+            orders.integers(0, 2**63)  # the run's seed
+        return circuits
 
     @staticmethod
     def one_by_one(c, buf):
@@ -815,10 +857,23 @@ class TestMonomialFold:
                 engine._adjoint(buf)
             np.testing.assert_allclose(apply_density(c, rho).matrix, buf, rtol=0, atol=1e-12)
 
-    def test_below_the_size_threshold_gates_run_one_by_one(self, rng, random_state):
+    def test_shots_circuits_make_pinned_pass_counts(self):
+        # The seed-1 circuits of the shots workload (12-14 qubits, 36-38
+        # gates) fit the tile, so a run in any group of four wires is one
+        # window: 13-14 passes each, where one window, the trailing one,
+        # left 20-31.
+        shots = self.shots_circuits()
+        assert [len(engine._plan(c, c.num_qubits)) for c in shots] == [13, 12, 13, 13, 13, 13, 14]
+        for c in shots:
+            zero = zero_state(c.num_qubits).amplitudes
+            np.testing.assert_allclose(apply(c, zero_state(c.num_qubits)).amplitudes, self.one_by_one(c, zero.copy()), rtol=0, atol=1e-12)
+
+    def test_below_the_size_threshold_gates_run_one_by_one(self, monkeypatch, rng, random_state):
         # At 12 qubits a fold's blocks would hold fewer than 2**12 entries:
-        # every monomial gate above the block is its own pass, bit for bit.
+        # with the state larger than the tile, every monomial gate above the
+        # block is its own pass, bit for bit.
         n = engine.FOLD_BLOCK_BITS
+        monkeypatch.setattr(engine, "TILE", 1 << (n - 1))
         steps = [(gates.T, (0,)), (gates.T, (0,)), (gates.CNOT, (2, 0)), (gates.Y, (2,)), (gates.S, (5,)), (gates.T, (5,)), (gates.SWAP, (7, 1))]
         c = Circuit(n, [Instruction(g, w) for g, w in steps])
         s = random_state(rng, n)

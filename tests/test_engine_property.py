@@ -14,7 +14,7 @@ st = pytest.importorskip("hypothesis.strategies")
 from qsim import circuit, gates  # noqa: E402
 from qsim.qstate import normalize, to_density  # noqa: E402
 
-KERNELS = {"scale", "move", "zgemm", "dense"}
+KERNELS = {"scale", "move", "window", "dense"}
 
 
 def _dense_gate(arity, seed):
