@@ -33,7 +33,7 @@ import numpy as np
 from .circuit import Circuit, apply
 from .errors import ProbabilityError, QsimError, WireOutOfRangeError
 from .numerics import as_index
-from .qstate import DensityMatrix, StateVector, _adopt, adopt_state, basis_state, zero_state
+from .qstate import DensityMatrix, StateVector, _adopt, _unchecked, adopt_state, basis_state, zero_state
 
 PROB_TOL = 1e-12
 SUM_TOL = 1e-10
@@ -42,6 +42,7 @@ SHOT_CHUNK = 1 << 16  # shots per vectorized draw, labels per pass; bounds their
 
 # Philox4x64 round multipliers and Weyl key increments, as in numpy's Philox.
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_M_LANES = np.array(_PHILOX_M, dtype=np.uint64)[:, None]
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
 _MASK32 = (1 << 32) - 1
@@ -73,7 +74,7 @@ def _labels(indices, num_qubits: int) -> list[str]:
     return labels
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class OutcomeDistribution:
     """Exact outcome probabilities over all 2**n basis states.
 
@@ -135,6 +136,8 @@ class ShotHistogram:
     non-negative integer (so 0.5 and a bool are refused) and that they sum
     to the integer ``shots``, and the seed as :func:`check_sampling` does;
     ``shots`` and ``seed`` are kept as the ints those checks return.
+    :func:`sample` builds its histogram from its own tally, so it skips
+    these, as :func:`probabilities` does for its distribution.
     """
 
     counts: dict[str, int]
@@ -254,10 +257,9 @@ def _mulhilo(m: int, x):
     """
     m_hi, m_lo = m >> 32, m & _MASK32
     x_hi, x_lo = x >> 32, x & _MASK32
-    lolo, lohi, hilo = x_lo * m_lo, x_lo * m_hi, x_hi * m_lo
-    carry = ((lolo >> 32) + (lohi & _MASK32) + (hilo & _MASK32)) >> 32
-    hi = x_hi * m_hi + (lohi >> 32) + (hilo >> 32) + carry
-    return hi, (x * m) & _MASK64
+    lohi, hilo = x_lo * m_hi, x_hi * m_lo
+    carry = ((x_lo * m_lo >> 32) + (lohi & _MASK32) + (hilo & _MASK32)) >> 32
+    return x_hi * m_hi + (lohi >> 32) + (hilo >> 32) + carry, (x * m) & _MASK64
 
 
 def _philox_draws(seed: int, shots: np.ndarray) -> np.ndarray:
@@ -266,16 +268,29 @@ def _philox_draws(seed: int, shots: np.ndarray) -> np.ndarray:
     Philox4x64-10 on key (seed, shot): numpy's Philox steps its zero counter
     to (1, 0, 0, 0) before the first block, and ``Generator.random()`` keeps
     the top 53 bits of the block's first word. The counter words start as
-    Python ints and become arrays once the shot key reaches them.
+    Python ints and become arrays once the shot key reaches them, c2 in
+    round 0 and c0 in round 1. From round 2 on, the words multiplied, c0
+    and c2, are the rows of one (2, N) array, so both products take one
+    pass of calls.
     """
     c0, c1, c2, c3 = 1, 0, 0, 0
-    for r in range(_PHILOX_ROUNDS):
+    for r in range(2):
         k0 = (seed + r * _PHILOX_W[0]) & _MASK64
         k1 = shots + ((r * _PHILOX_W[1]) & _MASK64)
         hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
         hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
         c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    return (c0 >> 11) * 2.0**-53
+    # Rows (c0, c2) and (c1, c3): a round maps them to (hi1, hi0) ^ (c1, c3) ^ key and (lo1, lo0).
+    even = np.stack([c0, c2])
+    odd = np.empty_like(even)
+    odd[0], odd[1] = c1, c3
+    for r in range(2, _PHILOX_ROUNDS):
+        hi, lo = _mulhilo(_PHILOX_M_LANES, even)
+        even = hi[::-1] ^ odd
+        even[0] ^= (seed + r * _PHILOX_W[0]) & _MASK64
+        even[1] ^= shots + ((r * _PHILOX_W[1]) & _MASK64)
+        odd = lo[::-1]
+    return (even[0] >> 11) * 2.0**-53
 
 
 def _check_seed(seed) -> int:
@@ -320,4 +335,5 @@ def sample(circuit: Circuit, shots: int, seed: int, *, workers: int = 1) -> Shot
         np.add.at(tally, _pick(probs, cum, _philox_draws(seed, indices)), 1)
     hit = np.flatnonzero(tally)  # ascending index order is label order
     counts = dict(zip(_labels(hit, circuit.num_qubits), tally[hit].tolist()))
-    return ShotHistogram(counts=counts, shots=shots, seed=seed)
+    # Int counts of a tally of ``shots`` draws, and checked shots and seed: nothing to check again.
+    return _unchecked(ShotHistogram, counts=counts, shots=shots, seed=seed)

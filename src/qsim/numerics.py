@@ -84,7 +84,7 @@ def is_hermitian(a, tol: float = DEFAULT_TOL) -> bool:
     )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class EigenDecomposition:
     """Spectral data of a Hermitian matrix.
 

@@ -111,16 +111,24 @@ class DensityMatrix:
         return f"DensityMatrix(num_qubits={self.num_qubits})"
 
 
+def _unchecked(cls, **fields):
+    """A ``cls`` holding ``fields`` as given, its ``__post_init__`` checks skipped.
+
+    For values valid by construction; also used by ``measure``.
+    """
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def _adopt(cls, name: str, array: np.ndarray):
-    """An unvalidated ``cls`` whose field ``name`` is ``array``, 2**n long on axis 0.
+    """An unvalidated ``cls`` whose field ``name`` is ``array``, 2**n long on axis 0, made read-only.
 
     Also used by ``measure`` for distributions derived from valid states.
     """
-    obj = object.__new__(cls)
     array.setflags(write=False)
-    object.__setattr__(obj, name, array)
-    object.__setattr__(obj, "num_qubits", _num_qubits_for(array.shape[0]))
-    return obj
+    return _unchecked(cls, **{name: array, "num_qubits": _num_qubits_for(array.shape[0])})
 
 
 def adopt_state(amps: np.ndarray) -> StateVector:

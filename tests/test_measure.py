@@ -164,6 +164,14 @@ class TestProbabilities:
             OutcomeDistribution(1, probs)
 
 
+def test_distribution_equality_and_hash_are_identity():
+    # Array holders compare by identity: == once raised ValueError on the
+    # arrays' truth value, and hash raised TypeError.
+    a, b = OutcomeDistribution(1, [0.5, 0.5]), OutcomeDistribution(1, [0.5, 0.5])
+    assert a == a and a != b
+    assert hash(a) == hash(a) and len({a, b}) == 2
+
+
 class TestMeasureAll:
     def test_deterministic_state(self):
         for draw in (0.0, 0.3, 0.999999):
@@ -312,6 +320,19 @@ class TestSample:
     def test_deterministic_circuit(self):
         hist = sample(X_CIRCUIT, 100, 0)
         assert hist.counts == {"1": 100}
+
+    def test_histogram_is_adopted_without_checks(self, monkeypatch):
+        # sample's counts come from its own tally, so its histogram skips
+        # the construction checks and equals the checked one.
+        def refuse(self):
+            raise AssertionError("sample checked its own histogram again")
+
+        expected = sample(SKEWED, 500, 11)
+        checked = ShotHistogram(counts=dict(expected.counts), shots=500, seed=11)
+        monkeypatch.setattr(ShotHistogram, "__post_init__", refuse)
+        hist = sample(SKEWED, 500, 11)
+        assert hist == checked
+        assert all(type(v) is int for v in hist.counts.values())
 
     @pytest.mark.parametrize("n", [63, 10**4])
     def test_capacity_before_the_state_is_built(self, n):

@@ -149,6 +149,13 @@ class TestPredicates:
 
 
 class TestEigHermitian:
+    def test_equality_and_hash_are_identity(self):
+        # Array holders compare by identity: == between two decompositions
+        # once raised ValueError on the arrays' truth value.
+        a, b = eig_hermitian(np.eye(2)), eig_hermitian(np.eye(2))
+        assert a == a and a != b
+        assert hash(a) == hash(a) and len({a, b}) == 2
+
     def test_z_eigenvalues(self):
         d = eig_hermitian(Z)
         np.testing.assert_allclose(d.eigenvalues, [-1.0, 1.0], atol=1e-12)
