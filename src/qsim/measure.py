@@ -249,17 +249,18 @@ def measure_qubit(state: StateVector, qubit: int, rng_draw: float) -> Measuremen
     return MeasurementRecord(outcome=str(bit), post_state=adopt_state(post.reshape(-1)))
 
 
-def _mulhilo(m: int, x):
+def _mulhilo(m, x):
     """High and low 64-bit words of the 128-bit product ``m * x``.
 
-    ``x`` is a Python int below 2**64 or a uint64 array. The high word is
-    summed from products of 32-bit halves, none of which overflows.
+    ``m`` and ``x`` are Python ints below 2**64 or uint64 arrays. The high
+    word is summed from products of 32-bit halves, as in Hacker's Delight's
+    ``mulhu``: each partial sum stays below 2**64, so none overflows.
     """
     m_hi, m_lo = m >> 32, m & _MASK32
     x_hi, x_lo = x >> 32, x & _MASK32
-    lohi, hilo = x_lo * m_hi, x_hi * m_lo
-    carry = ((x_lo * m_lo >> 32) + (lohi & _MASK32) + (hilo & _MASK32)) >> 32
-    return x_hi * m_hi + (lohi >> 32) + (hilo >> 32) + carry, (x * m) & _MASK64
+    t = x_hi * m_lo + (x_lo * m_lo >> 32)
+    w = (t & _MASK32) + x_lo * m_hi
+    return x_hi * m_hi + (t >> 32) + (w >> 32), (x * m) & _MASK64
 
 
 def _philox_draws(seed: int, shots: np.ndarray) -> np.ndarray:
@@ -329,10 +330,11 @@ def sample(circuit: Circuit, shots: int, seed: int, *, workers: int = 1) -> Shot
     probs = probabilities(apply(circuit, zero_state(circuit.num_qubits))).probabilities
     cum = np.cumsum(probs)
     # add.at costs O(chunk); a bincount would clear and add 2**n counts per chunk.
+    # The tally ignores the draws' order, and sorted ones search the CDF about 3x faster.
     tally = np.zeros(probs.size, dtype=np.int64)
     for start in range(0, shots, SHOT_CHUNK):
         indices = np.arange(start, min(start + SHOT_CHUNK, shots), dtype=np.uint64)
-        np.add.at(tally, _pick(probs, cum, _philox_draws(seed, indices)), 1)
+        np.add.at(tally, _pick(probs, cum, np.sort(_philox_draws(seed, indices))), 1)
     hit = np.flatnonzero(tally)  # ascending index order is label order
     counts = dict(zip(_labels(hit, circuit.num_qubits), tally[hit].tolist()))
     # Int counts of a tally of ``shots`` draws, and checked shots and seed: nothing to check again.
