@@ -201,17 +201,18 @@ def _lone(gate: Gate, wires) -> tuple:
 def _fold(run, wires, spread=False) -> np.ndarray:
     """The 2**k x 2**k unitary of ``run`` on the k sorted ``wires``: its lone passes on I.
 
-    A dense 1-qubit gate, or with ``spread`` any, is one matmul by hand.
+    A dense 1-qubit gate, or with ``spread`` any, is one matmul; the passes between are one engine run.
     """
-    d = 1 << len(wires)
+    d, lone = 1 << len(wires), []
     m = np.eye(d, dtype=np.complex128)
     for instr in run:
         gate = instr.gate
         if gate.arity == 1 and (spread or gate.cycles is None):
-            m = np.matmul(gate.matrix, m.reshape(1 << wires.index(instr.wires[0]), 2, -1)).reshape(d, d)
+            m = (_run(lone, m) if lone else m).reshape(1 << wires.index(instr.wires[0]), 2, -1)
+            m, lone = np.matmul(gate.matrix, m).reshape(d, d), []
         else:
-            m = _run([_lone(gate, [wires.index(w) for w in instr.wires])], m)
-    return m
+            lone.append(_lone(gate, [wires.index(w) for w in instr.wires]))
+    return _run(lone, m) if lone else m
 
 
 def _schedule(instructions, low: int, width: int, spread: bool = False) -> list:
@@ -224,9 +225,8 @@ def _schedule(instructions, low: int, width: int, spread: bool = False) -> list:
     items = []
     for instr in instructions:
         ws = set(instr.wires)
-        first = min(ws)
-        start = first - (first - low) % BLOCK_BITS if BLOCK_BITS else low
-        window = start <= first and max(ws) < start + BLOCK_BITS and (spread or start == low)
+        start = low + (min(ws) - low) // BLOCK_BITS * BLOCK_BITS if BLOCK_BITS else low
+        window = start <= min(ws) and max(ws) < start + BLOCK_BITS and (spread or start == low)
         fold = max(ws) < low and len(ws) <= width and instr.gate.cycles is not None
         kind = start if window else "fold" if fold else None
         target = None
