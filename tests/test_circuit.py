@@ -519,7 +519,7 @@ class TestKernels:
         s = random_state(rng, self.N)
 
         def refuse(*args, **kwargs):
-            raise AssertionError("a diagonal fold ran a zgemm")
+            raise AssertionError("a diagonal fold ran a window")
 
         for c in (diagonal, xsx):
             buf = s.amplitudes.copy()
