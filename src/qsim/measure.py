@@ -12,7 +12,8 @@ counter-based stream keyed by (seed, i) as two unsigned 64-bit words, so
 outcomes depend only on the seed and the shot index, never on execution
 order. Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as
 1, 2, 3", SC'11) is a pure function of counter and key, so :func:`sample`
-computes it in numpy for a chunk of shots at a time, bit-identical to
+computes it in numpy for a chunk of shots at a time, one loop of its ten
+rounds on two uint64 lane arrays (:func:`_philox_draws`), bit-identical to
 ``np.random.Generator(np.random.Philox(key=[seed, i])).random()``.
 
 ``qsim run`` prints a :class:`ShotHistogram` or an :class:`OutcomeDistribution`
@@ -40,12 +41,14 @@ SUM_TOL = 1e-10
 MAX_SEED = (1 << 64) - 1
 SHOT_CHUNK = 1 << 16  # shots per vectorized draw, labels per pass; bounds their memory at a few MiB
 
-# Philox4x64 round multipliers and Weyl key increments, as in numpy's Philox.
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_M_LANES = np.array(_PHILOX_M, dtype=np.uint64)[:, None]
+# Philox4x64 round multipliers, as a column against the (c0, c2) rows, with
+# their 32-bit halves, and the Weyl key increments, as in numpy's Philox.
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_U32 = np.uint64(32)
+_MASK32 = np.uint64((1 << 32) - 1)
+_PHILOX_M_HI, _PHILOX_M_LO = _PHILOX_M >> _U32, _PHILOX_M & _MASK32
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
-_MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
 
 
@@ -145,11 +148,9 @@ class ShotHistogram:
     seed: int
 
     def __post_init__(self):
-        values = self.counts.values()
-        # One count per type goes through as_index (json prints a bool as true).
-        if None in map(as_index, dict(zip(map(type, values), values)).values()):
+        counts = list(map(as_index, self.counts.values()))
+        if None in counts:
             raise ProbabilityError("histogram counts must be integers")
-        counts = list(map(operator.index, values))
         if min(counts, default=0) < 0:
             raise ProbabilityError("histogram counts must not be negative")
         if (shots := as_index(self.shots)) is None or sum(counts) != shots:
@@ -202,8 +203,8 @@ def probabilities(state: StateVector) -> OutcomeDistribution:
 
 
 def probabilities_density(rho: DensityMatrix) -> OutcomeDistribution:
-    """Real diagonal of a density matrix."""
-    return _adopt(OutcomeDistribution, "probabilities", np.real(np.diagonal(rho.matrix)))
+    """Real diagonal of a density matrix, its roundoff below zero (such as -1e-35) clamped to 0.0."""
+    return _adopt(OutcomeDistribution, "probabilities", np.maximum(np.real(np.diagonal(rho.matrix)), 0.0))
 
 
 def _pick(probs: np.ndarray, cum: np.ndarray, draws: np.ndarray) -> np.ndarray:
@@ -249,49 +250,31 @@ def measure_qubit(state: StateVector, qubit: int, rng_draw: float) -> Measuremen
     return MeasurementRecord(outcome=str(bit), post_state=adopt_state(post.reshape(-1)))
 
 
-def _mulhilo(m, x):
-    """High and low 64-bit words of the 128-bit product ``m * x``.
-
-    ``m`` and ``x`` are Python ints below 2**64 or uint64 arrays. The high
-    word is summed from products of 32-bit halves, as in Hacker's Delight's
-    ``mulhu``: each partial sum stays below 2**64, so none overflows.
-    """
-    m_hi, m_lo = m >> 32, m & _MASK32
-    x_hi, x_lo = x >> 32, x & _MASK32
-    t = x_hi * m_lo + (x_lo * m_lo >> 32)
-    w = (t & _MASK32) + x_lo * m_hi
-    return x_hi * m_hi + (t >> 32) + (w >> 32), (x * m) & _MASK64
-
-
 def _philox_draws(seed: int, shots: np.ndarray) -> np.ndarray:
     """The uniform draw in [0, 1) of each uint64 shot index in ``shots``.
 
     Philox4x64-10 on key (seed, shot): numpy's Philox steps its zero counter
     to (1, 0, 0, 0) before the first block, and ``Generator.random()`` keeps
-    the top 53 bits of the block's first word. The counter words start as
-    Python ints and become arrays once the shot key reaches them, c2 in
-    round 0 and c0 in round 1. From round 2 on, the words multiplied, c0
-    and c2, are the rows of one (2, N) array, so both products take one
-    pass of calls.
+    the top 53 bits of the block's first word. The four counter words are
+    the rows of two (2, N) uint64 arrays, ``even`` = (c0, c2), the words
+    multiplied, and ``odd`` = (c1, c3). Each of the ten rounds maps them to
+    (hi1, hi0) ^ odd ^ key and (lo1, lo0), so both products take one pass of
+    calls. The low words wrap; the high words are summed from products of
+    32-bit halves, as in Hacker's Delight's ``mulhu``, each partial sum below
+    2**64. The round key is formed from Python ints masked to 64 bits, so no
+    numpy scalar sum wraps.
     """
-    c0, c1, c2, c3 = 1, 0, 0, 0
-    for r in range(2):
-        k0 = (seed + r * _PHILOX_W[0]) & _MASK64
-        k1 = shots + ((r * _PHILOX_W[1]) & _MASK64)
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    # Rows (c0, c2) and (c1, c3): a round maps them to (hi1, hi0) ^ (c1, c3) ^ key and (lo1, lo0).
-    even = np.stack([c0, c2])
-    odd = np.empty_like(even)
-    odd[0], odd[1] = c1, c3
-    for r in range(2, _PHILOX_ROUNDS):
-        hi, lo = _mulhilo(_PHILOX_M_LANES, even)
-        even = hi[::-1] ^ odd
-        even[0] ^= (seed + r * _PHILOX_W[0]) & _MASK64
-        even[1] ^= shots + ((r * _PHILOX_W[1]) & _MASK64)
-        odd = lo[::-1]
-    return (even[0] >> 11) * 2.0**-53
+    even = np.zeros((2, shots.size), dtype=np.uint64)
+    even[0] = 1
+    odd = np.zeros_like(even)
+    for r in range(_PHILOX_ROUNDS):
+        x_hi, x_lo = even >> _U32, even & _MASK32
+        t = x_hi * _PHILOX_M_LO + (x_lo * _PHILOX_M_LO >> _U32)
+        hi = x_hi * _PHILOX_M_HI + (t >> _U32) + ((t & _MASK32) + x_lo * _PHILOX_M_HI >> _U32)
+        even, odd = hi[::-1] ^ odd, (even * _PHILOX_M)[::-1]
+        even[0] ^= np.uint64((seed + r * _PHILOX_W[0]) & _MASK64)
+        even[1] ^= shots + np.uint64((r * _PHILOX_W[1]) & _MASK64)
+    return (even[0] >> np.uint64(11)) * 2.0**-53
 
 
 def _check_seed(seed) -> int:

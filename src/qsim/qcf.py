@@ -24,7 +24,7 @@ import re
 
 from .circuit import Circuit, Instruction
 from .errors import QsimError
-from .gates import LIBRARY, standard_gate
+from .gates import LIBRARY
 
 
 class ParseErrorKind(enum.Enum):
@@ -51,7 +51,7 @@ class ParseError(QsimError):
 _TOKEN = re.compile(r"\S+")
 _INT = re.compile(r"[0-9]+\Z")  # ASCII only: \d would take any Unicode digit
 
-_ARITY = {label.lower(): gate.arity for label, gate in LIBRARY.items()}
+_GATES = {label.lower(): gate for label, gate in LIBRARY.items()}
 
 
 def _tokens(line: str) -> list[tuple[str, int]]:
@@ -130,11 +130,12 @@ def parse(source: str) -> Circuit:
             continue
         toks = _tokens(raw)
         label, label_col = toks[0]
-        arity = _ARITY.get(label.lower())
-        if arity is None:
+        gate = _GATES.get(label.lower())
+        if gate is None:
             raise ParseError(
                 line_no, label_col, ParseErrorKind.UNKNOWN_GATE, f"unknown gate {label!r}"
             )
+        arity = gate.arity
         if len(toks) - 1 < arity:
             raise ParseError(
                 line_no,
@@ -165,7 +166,7 @@ def parse(source: str) -> Circuit:
                     f"wire {wire} listed twice in one instruction",
                 )
             wires.append(wire)
-        instructions.append(Instruction(standard_gate(label), tuple(wires)))
+        instructions.append(Instruction(gate, tuple(wires)))
 
     return Circuit(num_qubits, instructions)
 

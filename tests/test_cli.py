@@ -115,6 +115,21 @@ class TestRun:
         else:
             assert '"110": 0.0,' in out
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_density_csv_and_json_have_no_negative_roundoff(self, capsys, tmp_path, fmt):
+        # The engine leaves -1.03e-35 on outcomes 010 and 011 and -2.9e-36 on 100 and 101.
+        path = tmp_path / "negative.qcf"
+        path.write_text("qubits 3\nh 0\nh 1\nh 2\nswap 0 2\nh 0\nx 0\nswap 2 1\ny 1\nh 1\n")
+        code, out, _ = run_cli(capsys, "run", str(path), "--backend", "density", "--format", fmt)
+        assert code == 0
+        if fmt == "csv":
+            values = [line.split(",")[1] for line in out.splitlines()]
+        else:
+            values = list(map(repr, json.loads(out)["probabilities"].values()))
+        assert len(values) == 8
+        assert not [v for v in values if v.startswith("-")]
+        assert values[2] == "0.0"
+
     def test_byte_identical_reruns(self, capsys, bell_file):
         first = run_cli(capsys, "run", bell_file, "--shots", "512", "--seed", "9")
         second = run_cli(capsys, "run", bell_file, "--shots", "512", "--seed", "9")

@@ -124,12 +124,14 @@ class TestProbabilities:
             np.testing.assert_allclose(dist.probabilities, [0.5, 0.5], atol=1e-12)
             assert not dist.probabilities.flags.writeable
 
-    def test_density_roundoff_passes_through_but_public_constructor_checks(self):
+    def test_density_roundoff_clamped_but_public_constructor_checks(self):
         # A diagonal entry of -5e-10 is within the density matrix's PSD floor
-        # (-1e-9) but outside the distribution's own range check (-1e-12).
+        # (-1e-9); it is clamped to 0.0, and the 1 + 5e-10 beside it is
+        # outside the distribution's own range check (1 + 1e-12).
         rho = DensityMatrix(np.diag([1.0 + 5e-10, -5e-10]))
         probs = probabilities_density(rho).probabilities
-        np.testing.assert_array_equal(probs, [1.0 + 5e-10, -5e-10])
+        np.testing.assert_array_equal(probs, [1.0 + 5e-10, 0.0])
+        assert not np.signbit(probs).any()
         with pytest.raises(ProbabilityError):
             OutcomeDistribution(1, probs)
 

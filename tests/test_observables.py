@@ -59,6 +59,19 @@ class TestExpectation:
             )
             assert combined == pytest.approx(separate, abs=1e-10)
 
+    def test_imaginary_roundoff_within_hermitian_tolerance(self):
+        # 0.45e-10j on every entry passes the 1e-10 Hermiticity check, and a
+        # uniform state picks up 64 * 0.45e-10 = 2.88e-9 of imaginary part.
+        d = 64
+        a = np.diag(np.arange(d, dtype=float)) + 0.45e-10j * np.ones((d, d))
+        obs = Observable("A", a)
+        psi = from_amplitudes(np.full(d, 1 / 8))
+        hermitian_part = (a + a.conj().T) / 2
+        expected = complex(np.vdot(psi.amplitudes, hermitian_part @ psi.amplitudes)).real
+        assert expected == pytest.approx(31.5, abs=1e-12)
+        assert expectation(obs, psi) == pytest.approx(expected, abs=1e-12)
+        assert expectation_density(obs, to_density(psi)) == pytest.approx(expected, abs=1e-12)
+
 
 class TestExpectationDensity:
     def test_maximally_mixed(self):
