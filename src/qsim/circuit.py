@@ -26,12 +26,14 @@ trade places.
   transpose, one zgemm. A piece keeps (2**k, inner) slabs whole, so the
   bits do not depend on the cut; only a one-wire window cuts a slab that
   outgrows the tile.
-- "move", a lone monomial gate or a run that folds to a monomial, and
-  "dense", a lone dense gate on more wires: a move re-phases or moves each
-  block one piece at a time, each one ``np.multiply(phase, src, out=dst)``,
-  phase 1 included, which numpy makes with no copy; only the first block's
-  piece of a cycle is held in the tile. A dense pass writes the output
-  blocks of each piece into the tile and copies them back.
+- "move", a lone monomial gate or a run that folds to a monomial: each
+  block is re-phased or moved one piece at a time, each one
+  ``np.multiply(phase, src, out=dst)``, phase 1 included, which numpy makes
+  with no copy; only the first block's piece of a cycle is held in the tile.
+- "dense", a lone dense gate on more wires: each piece of its blocks is
+  gathered into the tile, just past the piece's size, as (2**k, P); one
+  matmul by the gate's matrix writes the tile's first entries, which are
+  copied back.
 
 :func:`apply` runs a plan on n bits on a copy of a state vector,
 :func:`unitary` one on 2n bits on the identity, and :func:`apply_density`
@@ -272,13 +274,15 @@ def _run(plan, buf):
     """U @ buf: each pass of ``plan`` on the row bits of ``buf``, on the kernel of its kind.
 
     The tile holds ``min(TILE, buf.size)`` entries, raised to a row of the
-    last group, two entries per block of a dense pass and a slab of a window
-    of k > 1 wires should that be smaller. The result is ``buf`` or the
-    tile, shaped like ``buf``.
+    last group, eight entries per block of a dense pass and a slab of a
+    window of k > 1 wires should that be smaller. The result is ``buf`` or
+    the tile, shaped like ``buf``.
     """
     flat = buf.reshape(-1)
     nbits = flat.size.bit_length() - 1
-    widest = [min(BLOCK_BITS, nbits)] + [len(ws) + 1 for kernel, ws, _ in plan if kernel == "dense"]
+    # A dense piece and its gather fill the tile, so a cut leaves P >= 4 columns a
+    # block: OpenBLAS zgemm gives a column the same bits at every P from 4 up, not at 1 or 2.
+    widest = [min(BLOCK_BITS, nbits)] + [len(ws) + 3 for kernel, ws, _ in plan if kernel == "dense"]
     widest += [nbits - ws[0] if len(ws) > 1 else 1 for kernel, ws, _ in plan if kernel == "window"]
     tile = np.empty(max(min(TILE, flat.size), 1 << max(widest)), dtype=flat.dtype)
     for kernel, wires, operand in plan:
@@ -298,18 +302,12 @@ def _run(plan, buf):
             else:
                 flat, tile = _through(flat, tile, slabs, pieces, lambda src, out: np.matmul(operand, src, out=out))
         else:
-            # Row r of a piece's output is g[r,0]*b0 + g[r,1]*b1 + ..., left to right.
             def dense(src, out):
-                ins = [src[b] for b in itertools.product((0, 1), repeat=k)]
-                outs = out.reshape((len(ins),) + src.shape[k:])
-                scratch = tile[src.size : src.size + ins[0].size].reshape(ins[0].shape)
-                for r, row in enumerate(operand):
-                    np.multiply(row[0], ins[0], out=outs[r])
-                    for c in range(1, len(ins)):
-                        np.multiply(row[c], ins[c], out=scratch)
-                        np.add(outs[r], scratch, out=outs[r])
+                held = tile[src.size : 2 * src.size].reshape(src.shape)
+                np.copyto(held, src)
+                np.matmul(operand, held.reshape(1 << k, -1), out=out.reshape(1 << k, -1))
 
-            # A piece's output blocks and one scratch block fill at most the tile.
+            # A piece and its gather fill at most the tile.
             blocks = _blocks(flat, wires)
             pieces = [(slice(None),) * k + p for p in _pieces(blocks.shape[k:], tile.size >> (k + 1))]
             flat, tile = _through(flat, tile, blocks, pieces, dense)

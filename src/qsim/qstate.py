@@ -208,7 +208,7 @@ def from_ensemble(ensemble: MixedEnsemble) -> DensityMatrix:
     if not entries:
         raise ProbabilityError("ensemble must contain at least one entry")
     probs = [float(p) for p, _ in entries]
-    if any(p < 0.0 or p > 1.0 for p in probs):
+    if any(not 0.0 <= p <= 1.0 for p in probs):
         raise ProbabilityError(f"ensemble probabilities must lie in [0, 1], got {probs}")
     total = sum(probs)
     if abs(total - 1.0) > NORM_TOL:

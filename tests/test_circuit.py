@@ -632,14 +632,18 @@ class TestKernels:
             expected = u @ rho.matrix @ u.conj().T
             np.testing.assert_allclose(apply_density(c, rho).matrix, expected, rtol=0, atol=1e-12)
 
-    def test_peak_memory_is_two_states(self):
+    def test_peak_memory_is_two_states(self, rng):
         # Every kernel works in place through one tile of ``TILE`` entries:
         # the copy of the input is the only state-sized allocation. At 20
         # qubits the tile is 1/32 of a state (at 16 it would be half of one),
-        # and wires 16-19 form the trailing block.
+        # and wires 16-19 form the trailing block. The two user gates are
+        # dense passes, whose gather lives in the tile too.
         n = 20
-        steps = [(gates.H, 0), (gates.H, 8), (gates.S, 16), (gates.Y, 17), (gates.H, 19)]
-        c = Circuit(n, [Instruction(gate, (w,)) for gate, w in steps])
+        steps = [(gates.H, (0,)), (gates.H, (8,)), (gates.S, (16,)), (gates.Y, (17,)), (gates.H, (19,))]
+        steps += [(gates.Gate("U", 2, random_unitary(rng, 4)), (3, 17))]
+        steps += [(gates.Gate("U", 3, random_unitary(rng, 8)), (16, 2, 9))]
+        c = Circuit(n, [Instruction(gate, ws) for gate, ws in steps])
+        assert sum(kernel == "dense" for kernel, _, _ in engine._plan(c, n)) == 2
         s = zero_state(n)
         tracemalloc.start()
         try:

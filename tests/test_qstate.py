@@ -168,6 +168,11 @@ class TestFromEnsemble:
         with pytest.raises(ProbabilityError):
             from_ensemble([(1.5, zero_state(1)), (-0.5, basis_state(1, 1))])
 
+    def test_rejects_nan_probability(self):
+        # NaN fails every comparison, so a check of p < 0 or p > 1 let it through.
+        with pytest.raises(ProbabilityError):
+            from_ensemble([(float("nan"), zero_state(1))])
+
     def test_rejects_empty(self):
         with pytest.raises(ProbabilityError):
             from_ensemble([])
