@@ -7,17 +7,16 @@ One gate engine replaces M by U @ M in place, acting on the row bits of M
 only: O(size of M) per pass, no 2**n x 2**n gate matrix, and no second
 M-sized buffer. It plans, then runs. In :func:`_schedule` an instruction
 moves back past passes on other wires, which commute with it, and joins
-the latest one it fits, a window run in one group of ``BLOCK_BITS`` wires
-counted back from the last, or a monomial run above the last group on at
-most ``FOLD_WIRES`` wires (fewer on a small M), or is alone. Only the last
-group holds windows when M outgrows the ``TILE``-entry scratch tile and a
-pass is a trip through memory; every group does when M fits and a pass is
-a few numpy calls, so the benchmark's 12-14-qubit shots circuits take
-12-14 passes, not 20-31. :func:`_plan` folds each run once (:func:`_fold`)
-into a (kernel, wires, operand) pass. :func:`_run`, the one place a kernel
-is picked, works one piece of at most a tile at a time. An M no larger
-than the tile is one piece; where a kernel would copy it back, the two
-trade places.
+the latest run it fits, or is alone. One size picks the runs: when M
+outgrows the ``TILE``-entry scratch tile, a pass is a trip through memory,
+only the last group of ``BLOCK_BITS`` wires holds windows, and a monomial
+run above it folds on at most ``FOLD_WIRES`` wires; when M fits, a pass is
+a few numpy calls, every group holds windows and none folds, so the
+benchmark's 12-14-qubit shots circuits take 12-14 passes, not 20-31.
+:func:`_plan` folds each run once (:func:`_fold`) into a (kernel, wires,
+operand) pass. :func:`_run`, the one place a kernel is picked, works one
+piece of at most a tile at a time. An M no larger than the tile is one
+piece; where a kernel would copy it back, the two trade places.
 
 - "scale", a run that folds to a diagonal: one in-place broadcast multiply.
 - "window", a run folded to a 2**k x 2**k matrix on a group's k wires, or a
@@ -71,11 +70,10 @@ BLOCK_BITS = 4
 # were 6-26 % slower than 2**15.
 TILE = 1 << 15
 
-# Most wires a monomial fold may span, and the fewest bits each of its blocks
-# keeps: on smaller ones numpy's per-call work costs more than the passes
-# saved. From a sweep of 0-8 wires and 8-14 bits, recorded in CHANGES.md.
+# Most wires a monomial fold may span, from a 0-8 sweep in CHANGES.md. No run
+# folds when M fits the tile: over seeds 1-20 of the shots benchmark, all 200
+# fold runs that formed there held one gate, the same pass as no fold.
 FOLD_WIRES = 6
-FOLD_BLOCK_BITS = 12
 
 
 @dataclass(frozen=True, slots=True)
@@ -223,24 +221,28 @@ def _schedule(instructions, low: int, width: int, spread: bool = False) -> list:
     Wires group by ``BLOCK_BITS`` from ``low`` on. A window run lies in the
     group from ``low`` or, when ``spread``, in any; its kind is the group's
     first wire. A "fold" run lies below ``low`` on at most ``width`` wires.
+    A gate joins the latest run of its kind (a fold's with room) at or after
+    the latest item on its wires, indexed in ``latest`` by wire, ``runs`` by kind.
     """
-    items = []
+    items, latest, runs = [], {}, {}
     for instr in instructions:
         ws = set(instr.wires)
         start = low + (min(ws) - low) // BLOCK_BITS * BLOCK_BITS if BLOCK_BITS else low
         window = start <= min(ws) and max(ws) < start + BLOCK_BITS and (spread or start == low)
         fold = max(ws) < low and len(ws) <= width and instr.gate.cycles is not None
         kind = start if window else "fold" if fold else None
-        target = None
-        for item in reversed(items if kind is not None else ()):
-            if item[0] == kind and (kind != "fold" or len(item[1] | ws) <= width):
-                target = item
-            if target or not item[1].isdisjoint(ws):
+        bound, target = max(latest.get(w, -1) for w in ws), None
+        for i in reversed(runs.get(kind, []) if kind is not None else ()):
+            if i >= bound and (kind != "fold" or len(items[i][1] | ws) <= width):
+                target = i
+            if target is not None or i <= bound:
                 break
         if target is None:
-            items.append(target := [kind, set(), []])
-        target[1] |= ws
-        target[2].append(instr)
+            runs.setdefault(kind, []).append(target := len(items))
+            items.append([kind, set(), []])
+        items[target][1].update(ws)
+        items[target][2].append(instr)
+        latest.update(dict.fromkeys(ws, target))
     return items
 
 
@@ -254,7 +256,7 @@ def _plan(circuit: Circuit, nbits: int) -> list:
     low = nbits - min(BLOCK_BITS, nbits)
     spread = 1 << nbits <= TILE
     plan = []
-    for kind, wires, run in _schedule(circuit.instructions, low, min(FOLD_WIRES, nbits - FOLD_BLOCK_BITS), spread):
+    for kind, wires, run in _schedule(circuit.instructions, low, 0 if spread else FOLD_WIRES, spread):
         if kind in ("fold", None) and len(run) == 1:
             plan.append(_lone(run[0].gate, run[0].wires))
             continue

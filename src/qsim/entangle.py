@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import capacity
 from .errors import QsimError, SubsystemError
 from .numerics import as_index
 from .qstate import DensityMatrix, StateVector, adopt_density
@@ -52,6 +53,7 @@ class Bipartition:
     def split(cls, num_qubits: int, subsystem_a) -> "Bipartition":
         """Bipartition with the given distinct qubits on side A, the rest on side B."""
         n = _qubit(num_qubits)
+        capacity.check("statevector", n)
         a = tuple(sorted(map(_qubit, subsystem_a)))
         if len(set(a)) != len(a) or not all(0 <= q < n for q in a):
             raise SubsystemError(f"side A {a} must be distinct qubits below num_qubits={n}")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NotHermitianError, NotSquareError
+from .errors import DimensionMismatchError, NotHermitianError, NotSquareError, QsimError
 
 DEFAULT_TOL = 1e-10
 
@@ -111,7 +111,15 @@ def eig_hermitian(a) -> EigenDecomposition:
 
 
 def matexp_skew_hermitian(h, theta: float) -> np.ndarray:
-    """Unitary exp(-i * h * theta) for Hermitian ``h`` from :func:`eig_hermitian`."""
+    """Unitary exp(-i * h * theta) for Hermitian ``h`` from :func:`eig_hermitian`.
+
+    A phase ``h * theta`` that is not finite, as from a non-finite ``theta``
+    or one past the float range, is refused: its exponential would be nan.
+    """
     d = eig_hermitian(h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phases = d.eigenvalues * theta
+    if not np.isfinite(phases).all():
+        raise QsimError(f"evolution phase of h times {theta!r} is not finite")
     v = d.eigenvectors
-    return (v * np.exp(-1j * d.eigenvalues * theta)) @ v.conj().T
+    return (v * np.exp(-1j * phases)) @ v.conj().T

@@ -161,12 +161,20 @@ def from_amplitudes(amplitudes) -> StateVector:
 
 
 def normalize(amplitudes) -> StateVector:
-    """Scale raw amplitudes to unit norm (errors on the zero vector)."""
+    """Scale raw amplitudes to unit norm (errors on the zero vector and on inf or nan).
+
+    A finite vector whose squared sum leaves the normal float range is first
+    divided by its largest real or imaginary part.
+    """
     amps = np.array(amplitudes, dtype=np.complex128).reshape(-1)
-    sumsq = _sumsq(amps)
-    if sumsq == 0.0 or not np.isfinite(sumsq):
-        raise NotNormalizedError("cannot normalize a zero or non-finite vector")
-    # The StateVector check stays: a subnormal sumsq leaves the result off unit norm.
+    with np.errstate(over="ignore"):
+        sumsq = _sumsq(amps)
+    if not np.finfo(np.float64).tiny <= sumsq < np.inf:
+        peak = float(np.max(np.abs(amps.view(np.float64)), initial=0.0))
+        if peak == 0.0 or not np.isfinite(peak):
+            raise NotNormalizedError("cannot normalize a zero or non-finite vector")
+        amps /= peak
+        sumsq = _sumsq(amps)
     return StateVector(amps / np.sqrt(sumsq))
 
 

@@ -3,18 +3,21 @@
 Dense products, Kronecker products and adjoints with explicit shape checks,
 a cyclic-Jacobi Hermitian eigensolver, a two-qubit gate's action on one
 basis ket, the Schmidt spectrum from singular values, Grover's loop as the
-textbook writes it, and the ``qsim run`` json shape from json's pure-Python
-indenting encoder. The library's paths never build these: they run gates in
-place through ``qsim.circuit``, decompose Hermitian matrices with LAPACK
-``eigh`` in ``qsim.numerics.eig_hermitian``, take the Schmidt spectrum from
-the smaller reduced matrix, run Grover without per-step objects and write
-json with the C encoder.
+textbook writes it, the ``qsim run`` json shape from json's pure-Python
+indenting encoder, and the gate scheduler as a walk back through its
+items. The library's paths never build these: they run gates in place
+through ``qsim.circuit``, decompose Hermitian matrices with LAPACK ``eigh``
+in ``qsim.numerics.eig_hermitian``, take the Schmidt spectrum from the
+smaller reduced matrix, run Grover without per-step objects, write json
+with the C encoder and schedule through an index of the items by wire and
+by kind.
 """
 
 import json
 
 import numpy as np
 
+from qsim import circuit
 from qsim.errors import (
     ArityError,
     CapacityError,
@@ -176,3 +179,32 @@ def grover_textbook(num_qubits: int, marked: int, iterations: int):
         amps = 2 * amps.mean() - amps
         trajectory.append(float(abs(amps[marked]) ** 2))
     return trajectory, amps
+
+
+def backward_schedule(instructions, low: int, width: int, spread: bool = False) -> list:
+    """``circuit._schedule``'s items, found by walking back through the items made so far.
+
+    Each instruction scans back from the latest item and joins the first of
+    its kind (a fold, one with room) that it meets before an item on one of
+    its wires, that item included; else it opens an item. Quadratic in the
+    circuit's length when one run gathers gates from all of it.
+    """
+    block = circuit.BLOCK_BITS
+    items = []
+    for instr in instructions:
+        ws = set(instr.wires)
+        start = low + (min(ws) - low) // block * block if block else low
+        window = start <= min(ws) and max(ws) < start + block and (spread or start == low)
+        fold = max(ws) < low and len(ws) <= width and instr.gate.cycles is not None
+        kind = start if window else "fold" if fold else None
+        target = None
+        for item in reversed(items if kind is not None else ()):
+            if item[0] == kind and (kind != "fold" or len(item[1] | ws) <= width):
+                target = item
+            if target or not item[1].isdisjoint(ws):
+                break
+        if target is None:
+            items.append(target := [kind, set(), []])
+        target[1] |= ws
+        target[2].append(instr)
+    return items

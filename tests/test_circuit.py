@@ -1,6 +1,8 @@
 import functools
 import itertools
+import sys
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -546,7 +548,8 @@ class TestKernels:
         steps = {
             "fold": [(gates.H, (n - 3,)), (gates.CNOT, (n - 2, n - 1)), (gates.H, (n - 4,)), (gates.T, (n - 1,))],
             "broadcast": [(gates.H, (w,)) for w in range(n - BLOCK_BITS)] + [(user(1), (0,)), (user(1), (n - 5,))],
-            "monomial": [(gates.X, (0,)), (gates.CNOT, (3, 1)), (gates.SWAP, (0, n - 1)), (gates.Y, (1,)), (gates.S, (2,))],
+            # X 0 comes after the SWAP on its wire, so it stays a lone one-wire move when the rest folds.
+            "monomial": [(gates.CNOT, (3, 1)), (gates.SWAP, (0, n - 1)), (gates.Y, (1,)), (gates.S, (2,)), (gates.X, (0,))],
             "dense2": [(user(2), (1, 3)), (user(2), (n - 3, 0)), (user(2), (2, n - 2))],
             "dense3": [(user(3), (0, 2, 1)), (user(3), (3, n - 1, n - 4))],
         }
@@ -673,11 +676,11 @@ class TestKernels:
 class TestMonomialFold:
     """The scheduler and the monomial fold against ``unitary_of`` at 1e-12.
 
-    At N = 8 with the trailing block cut to one bit and folds allowed blocks
-    of two entries, wires 0-6 lie above the block and a fold may span all
-    ``FOLD_WIRES`` of them; at full size both constants keep their values.
-    The tile is cut below the 8-qubit state, so that every plan is made by
-    the rule for states larger than the tile, the one that folds.
+    At N = 8 with the trailing block cut to one bit, wires 0-6 lie above the
+    block and a fold may span all ``FOLD_WIRES`` of them; at full size
+    ``BLOCK_BITS`` keeps its value. The tile is cut below the 8-qubit state,
+    so that every plan is made by the rule for states larger than the tile,
+    the one that folds.
     """
 
     N = 8
@@ -685,7 +688,6 @@ class TestMonomialFold:
     @pytest.fixture
     def small(self, monkeypatch):
         monkeypatch.setattr(engine, "BLOCK_BITS", 1)
-        monkeypatch.setattr(engine, "FOLD_BLOCK_BITS", 1)
         monkeypatch.setattr(engine, "TILE", 1 << (self.N - 1))
 
     @pytest.fixture
@@ -872,16 +874,44 @@ class TestMonomialFold:
             zero = zero_state(c.num_qubits).amplitudes
             np.testing.assert_allclose(apply(c, zero_state(c.num_qubits)).amplitudes, self.one_by_one(c, zero.copy()), rtol=0, atol=1e-12)
 
-    def test_below_the_size_threshold_gates_run_one_by_one(self, monkeypatch, rng, random_state):
-        # At 12 qubits a fold's blocks would hold fewer than 2**12 entries:
-        # with the state larger than the tile, every monomial gate above the
-        # block is its own pass, bit for bit.
-        n = engine.FOLD_BLOCK_BITS
-        monkeypatch.setattr(engine, "TILE", 1 << (n - 1))
-        steps = [(gates.T, (0,)), (gates.T, (0,)), (gates.CNOT, (2, 0)), (gates.Y, (2,)), (gates.S, (5,)), (gates.T, (5,)), (gates.SWAP, (7, 1))]
+    def test_below_the_size_threshold_gates_run_one_by_one(self, rng, random_state):
+        # A 12-qubit state fits the tile, so no run folds: each monomial gate
+        # across two groups is its own pass, bit for bit, even where a fold
+        # would hold a pair on the same wires.
+        n = 12
+        phase_perm = gates.Gate("P", 2, np.diag([1j, -1, 1, np.exp(0.3j)])[[2, 0, 3, 1]])
+        steps = [(gates.CNOT, (2, 5)), (gates.SWAP, (5, 2)), (gates.CNOT, (3, 4)), (phase_perm, (7, 1)), (gates.SWAP, (0, 9)), (phase_perm, (6, 2))]
         c = Circuit(n, [Instruction(g, w) for g, w in steps])
+        assert [kernel for kernel, _, _ in engine._plan(c, n)] == ["move"] * len(steps)
         s = random_state(rng, n)
         assert np.array_equal(apply(c, s).amplitudes, self.one_by_one(c, s.amplitudes.copy()))
+
+    @pytest.mark.parametrize("count", [1000, 4000])
+    def test_schedule_work_per_gate_does_not_grow_with_length(self, count):
+        # Line events run in _schedule and the comprehensions it defines, per
+        # gate, for one-qubit library gates on random wires at 24 qubits: the
+        # trailing window gathers gates from the whole circuit, so a walk back
+        # through the items would grow with it (about 60 events a gate at
+        # 1,000 gates and 230 at 4,000); the indexes keep it near 20.
+        rng = np.random.default_rng(count)
+        one = [g for g in gates.LIBRARY.values() if g.arity == 1]
+        instrs = [Instruction(one[k], (int(w),)) for k, w in zip(rng.integers(len(one), size=count), rng.integers(24, size=count))]
+        code = engine._schedule.__code__
+        codes = {code} | {const for const in code.co_consts if isinstance(const, types.CodeType)}
+        events = 0
+
+        def local(frame, event, arg):
+            nonlocal events
+            events += event == "line"
+            return local
+
+        previous = sys.gettrace()
+        sys.settrace(lambda frame, event, arg: local if frame.f_code in codes else None)
+        try:
+            engine._schedule(instrs, 20, engine.FOLD_WIRES)
+        finally:
+            sys.settrace(previous)
+        assert events / count < 25
 
     def test_fold_works_in_place(self):
         n = 20

@@ -1,8 +1,9 @@
-"""Property test: the gate engine equals the brute-force unitary at any setting of its constants.
+"""Property tests: the gate engine equals the brute-force unitary at any setting of its constants.
 
-The constants are ``circuit.TILE``, ``BLOCK_BITS``, ``FOLD_WIRES`` and
-``FOLD_BLOCK_BITS``; each is drawn over the values the engine accepts, wider
-than its tuned default on both sides.
+The constants are ``circuit.TILE``, ``BLOCK_BITS`` and ``FOLD_WIRES``; each
+is drawn over the values the engine accepts, wider than its tuned default on
+both sides. The scheduler's items equal those of the walk back in
+``oracles.backward_schedule`` on any circuit, group and fold width.
 """
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
+from oracles import backward_schedule  # noqa: E402
 from qsim import circuit, gates  # noqa: E402
 from qsim.qstate import normalize, to_density  # noqa: E402
 
@@ -46,11 +48,10 @@ def circuits(draw):
     c=circuits(),
     block_bits=st.integers(0, 6),
     fold_wires=st.integers(0, 8),
-    fold_block_bits=st.integers(0, 16),
     seed=st.integers(0, 2**32 - 1),
     data=st.data(),
 )
-def test_engine_matches_unitary_of(c, block_bits, fold_wires, fold_block_bits, seed, data):
+def test_engine_matches_unitary_of(c, block_bits, fold_wires, seed, data):
     n = c.num_qubits
     # Any power of two is a valid tile. The floor keeps a pass on 2n bits to
     # at most 256 pieces, so the smallest tiles are drawn on small circuits.
@@ -63,7 +64,6 @@ def test_engine_matches_unitary_of(c, block_bits, fold_wires, fold_block_bits, s
         mp.setattr(circuit, "TILE", 1 << tile_bits)
         mp.setattr(circuit, "BLOCK_BITS", block_bits)
         mp.setattr(circuit, "FOLD_WIRES", fold_wires)
-        mp.setattr(circuit, "FOLD_BLOCK_BITS", fold_block_bits)
         applied = circuit.apply(c, state).amplitudes
         conjugated = circuit.apply_density(c, rho).matrix
         from_state = circuit.apply_density(c, state).matrix
@@ -76,3 +76,36 @@ def test_engine_matches_unitary_of(c, block_bits, fold_wires, fold_block_bits, s
     for plan in plans:
         assert len(plan) <= len(c.instructions)
         assert {kernel for kernel, _, _ in plan} <= KERNELS
+
+
+@st.composite
+def schedule_inputs(draw):
+    """Instructions on 1-24 wires, of library gates and 1-3-qubit dense or monomial user gates, and a ``low``."""
+    n = draw(st.integers(1, 24))
+    library = [g for g in gates.LIBRARY.values() if g.arity <= n]
+    instructions = []
+    for _ in range(draw(st.integers(0, 40))):
+        arity = draw(st.integers(1, min(3, n)))
+        pick = draw(st.sampled_from(["library", "dense", "monomial"]))
+        if pick == "library":
+            gate = draw(st.sampled_from(library))
+        elif pick == "dense":
+            gate = _dense_gate(arity, draw(st.integers(0, 2**32 - 1)))
+        else:
+            dim = 1 << arity
+            phases = np.exp(1j * np.array(draw(st.lists(st.floats(0, 2 * np.pi), min_size=dim, max_size=dim))))
+            gate = gates.Gate(f"P{arity}", arity, np.diag(phases)[list(draw(st.permutations(range(dim))))])
+        instructions.append(circuit.Instruction(gate, draw(st.permutations(range(n)))[: gate.arity]))
+    return instructions, draw(st.integers(0, n))
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(inputs=schedule_inputs(), width=st.integers(0, 8), spread=st.booleans())
+def test_schedule_matches_the_walk_back(inputs, width, spread):
+    # The same kinds, wire sets and instruction objects, run for run.
+    instructions, low = inputs
+    items = circuit._schedule(instructions, low, width, spread)
+    expected = backward_schedule(instructions, low, width, spread)
+    assert [(kind, wires) for kind, wires, _ in items] == [(kind, wires) for kind, wires, _ in expected]
+    for (_, _, run), (_, _, walked) in zip(items, expected):
+        assert len(run) == len(walked) and all(a is b for a, b in zip(run, walked))

@@ -10,7 +10,7 @@ from qsim import entangle
 from qsim.algorithms import bell_circuit
 from qsim.circuit import apply
 from qsim.entangle import Bipartition, entanglement_entropy, is_entangled, partial_trace
-from qsim.errors import QsimError, SubsystemError
+from qsim.errors import CapacityError, QsimError, SubsystemError
 from qsim.qstate import (
     basis_state,
     from_amplitudes,
@@ -64,6 +64,12 @@ class TestBipartition:
     @pytest.mark.parametrize("count", [2.5, 2.0, True, np.True_, "2"])
     def test_split_rejects_a_non_integer_count(self, count):
         with pytest.raises(SubsystemError, match="must be integers"):
+            Bipartition.split(count, [0])
+
+    @pytest.mark.parametrize("count", [25, 10**6])
+    def test_split_refuses_a_count_over_the_statevector_cap(self, count):
+        # Checked before the complement of side A is built, one label at a time.
+        with pytest.raises(CapacityError):
             Bipartition.split(count, [0])
 
     @pytest.mark.parametrize("side_a", [[0, 0], [5], [3], [-1]])

@@ -37,6 +37,20 @@ class TestHamiltonian:
         with pytest.raises(QsimError):
             evolve(H_Z, np.inf, zero_state(1))
 
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: Hamiltonian(np.diag([10.0, 0.0])).propagator(1e308),
+            lambda: Hamiltonian(gates.Z.matrix, hbar=1e-300).propagator(1e10),
+            lambda: evolve(Hamiltonian(np.diag([10.0, 0.0])), 1e308, zero_state(1)),
+            lambda: evolve_density(Hamiltonian(np.diag([10.0, 0.0])), 1e308, to_density(zero_state(1))),
+        ],
+    )
+    def test_rejects_a_phase_past_the_float_range(self, run):
+        # H t / hbar overflows: its exponential would be nan, not a unitary.
+        with pytest.raises(QsimError, match="evolution phase"):
+            run()
+
 
 class TestEvolve:
     def test_zero_duration(self):

@@ -71,6 +71,20 @@ def test_normalize_helper():
         normalize([0, 0])
 
 
+@pytest.mark.parametrize("scale", [1e-170, 1e-160, 1e200, 4e307])
+def test_normalize_outside_the_squared_float_range(scale):
+    # The squared sums underflow to 0, are subnormal, or overflow to inf (at
+    # 4e307 |3 + 4j| * scale does too), though each vector is finite and nonzero.
+    for amplitudes, expected in [([3 * scale, 4j * scale], [0.6, 0.8j]), ([(3 + 4j) * scale, 0], [0.6 + 0.8j, 0])]:
+        np.testing.assert_allclose(normalize(amplitudes).amplitudes, expected, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("amplitudes", [[0.0, 0.0], [np.inf, 1.0], [np.nan, 1.0], [1e308, np.inf]])
+def test_normalize_refuses_zero_and_non_finite_vectors(amplitudes):
+    with pytest.raises(NotNormalizedError):
+        normalize(amplitudes)
+
+
 def test_basis_and_zero_states():
     np.testing.assert_array_equal(basis_state(2, 3).amplitudes, [0, 0, 0, 1])
     np.testing.assert_array_equal(zero_state(3).amplitudes, np.eye(8)[0])
