@@ -13,10 +13,11 @@ only the last group of ``BLOCK_BITS`` wires holds windows, and a monomial
 run above it folds on at most ``FOLD_WIRES`` wires; when M fits, a pass is
 a few numpy calls, every group holds windows and none folds, so the
 benchmark's 12-14-qubit shots circuits take 12-14 passes, not 20-31.
-:func:`_plan` folds each run once (:func:`_fold`) into a (kernel, wires,
-operand) pass. :func:`_run`, the one place a kernel is picked, works one
-piece of at most a tile at a time. An M no larger than the tile is one
-piece; where a kernel would copy it back, the two trade places.
+:func:`_plan` folds each run once into a (kernel, wires, operand) pass:
+:func:`_fold` multiplies the run's gate matrices into one, the same way at
+every size, and runs no pass. :func:`_run`, the one place a kernel is
+picked, works one piece of at most a tile at a time. An M no larger than
+the tile is one piece; where a kernel would copy it back, the two trade places.
 
 - "scale", a run that folds to a diagonal: one in-place broadcast multiply.
 - "window", a run folded to a 2**k x 2**k matrix on a group's k wires, or a
@@ -198,21 +199,20 @@ def _lone(gate: Gate, wires) -> tuple:
     return kernel, wires, gate.matrix if gate.cycles is None else gate.cycles
 
 
-def _fold(run, wires, spread=False) -> np.ndarray:
-    """The 2**k x 2**k unitary of ``run`` on the k sorted ``wires``: its lone passes on I.
+def _fold(run, wires) -> np.ndarray:
+    """The 2**k x 2**k unitary of ``run`` on the k sorted ``wires``: each gate's matrix times I, in order.
 
-    A dense 1-qubit gate, or with ``spread`` any, is one matmul; the passes between are one engine run.
+    One matmul a gate: on the (2**i, 2, rest) view of its local wire i, or on its gathered :func:`_blocks`.
     """
-    d, lone = 1 << len(wires), []
-    m = np.eye(d, dtype=np.complex128)
+    m = np.eye(1 << len(wires), dtype=np.complex128)
     for instr in run:
-        gate = instr.gate
-        if gate.arity == 1 and (spread or gate.cycles is None):
-            m = (_run(lone, m) if lone else m).reshape(1 << wires.index(instr.wires[0]), 2, -1)
-            m, lone = np.matmul(gate.matrix, m).reshape(d, d), []
+        local, u = [wires.index(w) for w in instr.wires], instr.gate.matrix
+        if len(local) == 1:
+            m = np.matmul(u, m.reshape(1 << local[0], 2, -1)).reshape(m.shape)
         else:
-            lone.append(_lone(gate, [wires.index(w) for w in instr.wires]))
-    return _run(lone, m) if lone else m
+            blocks = _blocks(m, local)
+            blocks[...] = (u @ blocks.reshape(len(u), -1)).reshape(blocks.shape)
+    return m
 
 
 def _schedule(instructions, low: int, width: int, spread: bool = False) -> list:
@@ -261,7 +261,7 @@ def _plan(circuit: Circuit, nbits: int) -> list:
             plan.append(_lone(run[0].gate, run[0].wires))
             continue
         wires = sorted(wires) if kind == "fold" else range(max(kind, 0), min(kind + BLOCK_BITS, circuit.num_qubits))
-        m = _fold(run, wires, spread)
+        m = _fold(run, wires)
         diagonal = np.diagonal(m)
         if np.count_nonzero(m) == np.count_nonzero(diagonal):
             plan.append(("scale", wires, diagonal))

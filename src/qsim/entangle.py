@@ -101,10 +101,10 @@ def _schmidt_weights(state: StateVector, part: Bipartition) -> np.ndarray:
 
 
 def entanglement_entropy(state: StateVector, part: Bipartition) -> float:
-    """Base-2 von Neumann entropy of the reduction onto side A."""
+    """Base-2 von Neumann entropy of the reduction onto side A, its roundoff below zero clamped to 0.0."""
     weights = _schmidt_weights(state, part)
     weights = weights[weights > ENTROPY_EIGENVALUE_CUTOFF]
-    return float(-np.sum(weights * np.log2(weights)))
+    return max(0.0, float(-np.sum(weights * np.log2(weights))))
 
 
 def is_entangled(state: StateVector, part: Bipartition, tol: float = 1e-9) -> bool:

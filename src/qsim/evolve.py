@@ -14,7 +14,7 @@ import numpy as np
 
 from . import capacity, numerics
 from .errors import CapacityError, DimensionMismatchError, NotHermitianError, QsimError
-from .qstate import DensityMatrix, StateVector, adopt_density
+from .qstate import DensityMatrix, StateVector, adopt_density, adopt_state
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -60,7 +60,7 @@ def evolve(h: Hamiltonian, duration: float, state: StateVector) -> StateVector:
             f"Hamiltonian dimension {h.matrix.shape[0]} does not match state "
             f"dimension {state.amplitudes.size}"
         )
-    return StateVector(h.propagator(duration) @ state.amplitudes)
+    return adopt_state(h.propagator(duration) @ state.amplitudes)
 
 
 def evolve_density(h: Hamiltonian, duration: float, rho: DensityMatrix) -> DensityMatrix:

@@ -33,11 +33,10 @@ import numpy as np
 
 from .circuit import Circuit, apply
 from .errors import ProbabilityError, QsimError, WireOutOfRangeError
-from .numerics import as_index
-from .qstate import DensityMatrix, StateVector, _adopt, _unchecked, adopt_state, basis_state, zero_state
+from .numerics import DEFAULT_TOL, as_index
+from .qstate import DensityMatrix, StateVector, _adopt, _unchecked, adopt_state, basis_state, normalize, zero_state
 
 PROB_TOL = 1e-12
-SUM_TOL = 1e-10
 MAX_SEED = (1 << 64) - 1
 SHOT_CHUNK = 1 << 16  # shots per vectorized draw, labels per pass; bounds their memory at a few MiB
 
@@ -103,7 +102,7 @@ class OutcomeDistribution:
         if not (probs.min() >= -PROB_TOL and probs.max() <= 1.0 + PROB_TOL):
             raise ProbabilityError("probabilities must lie in [0, 1]")
         total = float(probs.sum())
-        if abs(total - 1.0) > SUM_TOL:
+        if abs(total - 1.0) > DEFAULT_TOL:
             raise ProbabilityError(f"probabilities sum to {total!r}, expected 1")
         probs.setflags(write=False)
         object.__setattr__(self, "num_qubits", n)
@@ -246,7 +245,10 @@ def measure_qubit(state: StateVector, qubit: int, rng_draw: float) -> Measuremen
     bit = int(_pick(marginal, np.cumsum(marginal), np.array([rng_draw]))[0])
     amps = state.amplitudes.reshape(shape)
     post = np.zeros_like(amps)
-    np.divide(amps[:, bit], np.sqrt(marginal[bit]), out=post[:, bit])
+    if marginal[bit] >= np.finfo(np.float64).tiny:
+        np.divide(amps[:, bit], np.sqrt(marginal[bit]), out=post[:, bit])
+    else:  # the square root of a subnormal marginal has lost its digits
+        post[:, bit] = normalize(amps[:, bit]).amplitudes.reshape(post[:, bit].shape)
     return MeasurementRecord(outcome=str(bit), post_state=adopt_state(post.reshape(-1)))
 
 

@@ -28,8 +28,6 @@ from .errors import (
     ProbabilityError,
 )
 
-NORM_TOL = 1e-10
-TRACE_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-9  # roundoff allowance for the PSD check
 
 
@@ -62,9 +60,9 @@ class StateVector:
         if not np.isfinite(amps).all():
             raise NotNormalizedError("amplitudes must be finite")
         sumsq = _sumsq(amps)
-        if abs(sumsq - 1.0) > NORM_TOL:
+        if abs(sumsq - 1.0) > numerics.DEFAULT_TOL:
             raise NotNormalizedError(
-                f"amplitudes have squared norm {sumsq!r}, expected 1 within {NORM_TOL}"
+                f"amplitudes have squared norm {sumsq!r}, expected 1 within {numerics.DEFAULT_TOL}"
             )
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
@@ -96,8 +94,10 @@ class DensityMatrix:
         if not numerics.is_hermitian(m):
             raise NotHermitianError("density matrix must be Hermitian within 1e-10")
         trace = complex(np.trace(m))
-        if abs(trace - 1.0) > TRACE_TOL:
-            raise NotNormalizedError(f"density matrix trace {trace!r} is not 1 within {TRACE_TOL}")
+        if abs(trace - 1.0) > numerics.DEFAULT_TOL:
+            raise NotNormalizedError(
+                f"density matrix trace {trace!r} is not 1 within {numerics.DEFAULT_TOL}"
+            )
         lowest = float(np.linalg.eigvalsh(m)[0])
         if lowest < EIGENVALUE_FLOOR:
             raise PositivityError(
@@ -175,7 +175,7 @@ def normalize(amplitudes) -> StateVector:
             raise NotNormalizedError("cannot normalize a zero or non-finite vector")
         amps /= peak
         sumsq = _sumsq(amps)
-    return StateVector(amps / np.sqrt(sumsq))
+    return adopt_state(amps / np.sqrt(sumsq))
 
 
 def basis_state(num_qubits: int, index: int) -> StateVector:
@@ -219,7 +219,7 @@ def from_ensemble(ensemble: MixedEnsemble) -> DensityMatrix:
     if any(not 0.0 <= p <= 1.0 for p in probs):
         raise ProbabilityError(f"ensemble probabilities must lie in [0, 1], got {probs}")
     total = sum(probs)
-    if abs(total - 1.0) > NORM_TOL:
+    if abs(total - 1.0) > numerics.DEFAULT_TOL:
         raise ProbabilityError(f"ensemble probabilities sum to {total!r}, expected 1")
     n = entries[0][1].num_qubits
     if any(s.num_qubits != n for _, s in entries):

@@ -481,10 +481,10 @@ class TestKernels:
         runs = []
         fold = engine._fold
 
-        def spy(run, wires, *spread):
+        def spy(run, wires):
             run = list(run)
             runs.append([instr.wires for instr in run])
-            return fold(run, wires, *spread)
+            return fold(run, wires)
 
         monkeypatch.setattr(engine, "_fold", spy)
         monkeypatch.setattr(engine, "TILE", 1 << (self.N - 1))
@@ -692,23 +692,13 @@ class TestMonomialFold:
 
     @pytest.fixture
     def moves(self, monkeypatch):
-        """The wires of every block move on the operand, leaving out ``_fold``'s moves on its identity."""
-        moves, folding = [], []
-        fold, move = engine._fold, engine._move
-
-        def fold_spy(run, wires, *spread):
-            folding.append(wires)
-            try:
-                return fold(run, wires, *spread)
-            finally:
-                folding.pop()
+        """The wires of every block move."""
+        moves, move = [], engine._move
 
         def move_spy(buf, tile, cycles, wires):
-            if not folding:
-                moves.append(wires)
+            moves.append(wires)
             move(buf, tile, cycles, wires)
 
-        monkeypatch.setattr(engine, "_fold", fold_spy)
         monkeypatch.setattr(engine, "_move", move_spy)
         return moves
 
@@ -777,6 +767,20 @@ class TestMonomialFold:
             np.testing.assert_allclose(folded, expected, rtol=0, atol=1e-12)
         else:
             assert np.array_equal(folded, expected)
+
+    def test_planning_runs_no_engine_pass(self, monkeypatch):
+        # A fold multiplies its gates' matrices into one: X 0, CNOT 0-1, S 1
+        # and T 2 fold on the 18 row bits of a 9-qubit density, and H 9,
+        # CNOT 9-10 and T 11 form a window of a 12-qubit state.
+        def refuse(*args):
+            raise AssertionError("planning ran an engine pass")
+
+        monkeypatch.setattr(engine, "_run", refuse)
+        monkeypatch.setattr(engine, "_move", refuse)
+        density = Circuit(9, [Instruction(g, w) for g, w in [(gates.X, (0,)), (gates.CNOT, (0, 1)), (gates.S, (1,)), (gates.T, (2,))]])
+        assert [(kernel, list(wires)) for kernel, wires, _ in engine._plan(density, 18)] == [("move", [0, 1, 2])]
+        state = Circuit(12, [Instruction(g, w) for g, w in [(gates.H, (9,)), (gates.CNOT, (9, 10)), (gates.T, (11,))]])
+        assert [(kernel, list(wires)) for kernel, wires, _ in engine._plan(state, 12)] == [("window", [8, 9, 10, 11])]
 
     def test_permutations_folding_to_a_diagonal_multiply(self, small, moves, rng, random_state):
         c = Circuit(self.N, [Instruction(g, w) for g, w in [(gates.X, (3,)), (gates.CNOT, (3, 0)), (gates.S, (0,)), (gates.CNOT, (3, 0)), (gates.X, (3,))]])

@@ -3,7 +3,8 @@
 The constants are ``circuit.TILE``, ``BLOCK_BITS`` and ``FOLD_WIRES``; each
 is drawn over the values the engine accepts, wider than its tuned default on
 both sides. The scheduler's items equal those of the walk back in
-``oracles.backward_schedule`` on any circuit, group and fold width.
+``oracles.backward_schedule`` on any circuit, group and fold width, and a
+fold equals its run's brute-force unitary on any wires.
 """
 
 import numpy as np
@@ -79,13 +80,12 @@ def test_engine_matches_unitary_of(c, block_bits, fold_wires, seed, data):
 
 
 @st.composite
-def schedule_inputs(draw):
-    """Instructions on 1-24 wires, of library gates and 1-3-qubit dense or monomial user gates, and a ``low``."""
-    n = draw(st.integers(1, 24))
-    library = [g for g in gates.LIBRARY.values() if g.arity <= n]
+def instructions_on(draw, wires, count):
+    """Up to ``count`` instructions on ``wires``, of library gates and 1-3-qubit dense or monomial user gates."""
+    library = [g for g in gates.LIBRARY.values() if g.arity <= len(wires)]
     instructions = []
-    for _ in range(draw(st.integers(0, 40))):
-        arity = draw(st.integers(1, min(3, n)))
+    for _ in range(draw(st.integers(0, count))):
+        arity = draw(st.integers(1, min(3, len(wires))))
         pick = draw(st.sampled_from(["library", "dense", "monomial"]))
         if pick == "library":
             gate = draw(st.sampled_from(library))
@@ -95,8 +95,15 @@ def schedule_inputs(draw):
             dim = 1 << arity
             phases = np.exp(1j * np.array(draw(st.lists(st.floats(0, 2 * np.pi), min_size=dim, max_size=dim))))
             gate = gates.Gate(f"P{arity}", arity, np.diag(phases)[list(draw(st.permutations(range(dim))))])
-        instructions.append(circuit.Instruction(gate, draw(st.permutations(range(n)))[: gate.arity]))
-    return instructions, draw(st.integers(0, n))
+        instructions.append(circuit.Instruction(gate, draw(st.permutations(wires))[: gate.arity]))
+    return instructions
+
+
+@st.composite
+def schedule_inputs(draw):
+    """Instructions on 1-24 wires and a ``low``."""
+    n = draw(st.integers(1, 24))
+    return draw(instructions_on(range(n), 40)), draw(st.integers(0, n))
 
 
 @hypothesis.settings(max_examples=200, deadline=None)
@@ -109,3 +116,25 @@ def test_schedule_matches_the_walk_back(inputs, width, spread):
     assert [(kind, wires) for kind, wires, _ in items] == [(kind, wires) for kind, wires, _ in expected]
     for (_, _, run), (_, _, walked) in zip(items, expected):
         assert len(run) == len(walked) and all(a is b for a, b in zip(run, walked))
+
+
+@st.composite
+def fold_runs(draw):
+    """A run on 1-6 sorted wires out of 24."""
+    wires = sorted(draw(st.sets(st.integers(0, 23), min_size=1, max_size=6)))
+    return draw(instructions_on(wires, 12)), wires
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(inputs=fold_runs())
+def test_fold_matches_unitary_of(inputs):
+    # The run's brute-force unitary with wire w renamed wires.index(w). A
+    # monomial run keeps its exact zero pattern: _plan counts nonzeros to
+    # tell a "scale" pass from a "move".
+    run, wires = inputs
+    local = [circuit.Instruction(instr.gate, [wires.index(w) for w in instr.wires]) for instr in run]
+    expected = circuit.unitary_of(circuit.Circuit(len(wires), local))
+    folded = circuit._fold(run, wires)
+    np.testing.assert_allclose(folded, expected, rtol=0, atol=1e-12)
+    if all(instr.gate.cycles is not None for instr in run):
+        assert np.array_equal(folded != 0, expected != 0)

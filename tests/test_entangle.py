@@ -182,6 +182,14 @@ class TestEntanglementEntropy:
         with pytest.raises(SubsystemError):
             entanglement_entropy(zero_state(3), SPLIT_2Q)
 
+    def test_product_states_have_no_negative_entropy(self, rng, random_state):
+        # Roundoff in the Schmidt weights of a product state made many of
+        # these read below zero, down to -1.6e-15.
+        part = Bipartition.split(5, [0, 1])
+        for _ in range(200):
+            joint = reduce(np.kron, [random_state(rng, 1).amplitudes for _ in range(5)])
+            assert 0.0 <= entanglement_entropy(normalize(joint), part) < 1e-12
+
 
 class TestIsEntangled:
     def test_bell_pair(self):

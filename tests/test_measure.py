@@ -25,8 +25,10 @@ from qsim.measure import (
 )
 from qsim.qstate import (
     DensityMatrix,
+    StateVector,
     basis_state,
     from_amplitudes,
+    normalize,
     to_density,
     zero_state,
 )
@@ -294,6 +296,23 @@ class TestMeasureQubit:
                     assert rec.outcome == str(bit)
                     expected = projected / np.linalg.norm(projected)
                     np.testing.assert_allclose(rec.post_state.amplitudes, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "amplitudes, qubit, kept",
+        [
+            ([1e-160, 1.0], 0, [1.0, 0.0]),
+            ([1e-160, 1e-160, 1.0, 0.0], 0, [SQRT2_INV, SQRT2_INV, 0.0, 0.0]),
+            ([1e-160, 1.0, 1e-160, 0.0], 1, [SQRT2_INV, 0.0, SQRT2_INV, 0.0]),
+        ],
+    )
+    def test_subnormal_marginal_collapses_to_a_unit_state(self, amplitudes, qubit, kept):
+        # Bit 0 of the qubit has a subnormal probability (1e-320 or 2e-320),
+        # whose square root has lost its digits: dividing by it gave the first
+        # case amplitude 1.0000056, a squared norm StateVector refuses.
+        rec = measure_qubit(normalize(amplitudes), qubit, 0.0)
+        assert rec.outcome == "0"
+        np.testing.assert_allclose(rec.post_state.amplitudes, kept, rtol=0, atol=1e-16)
+        StateVector(rec.post_state.amplitudes)
 
     def test_peak_memory_is_one_state(self):
         n = 20

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qsim import numerics
+from qsim import gates, numerics
 from qsim.errors import (
     CapacityError,
     DimensionMismatchError,
@@ -13,6 +13,7 @@ from qsim.errors import (
     PositivityError,
     ProbabilityError,
 )
+from qsim.evolve import Hamiltonian, evolve
 from qsim.qstate import (
     DensityMatrix,
     StateVector,
@@ -83,6 +84,19 @@ def test_normalize_outside_the_squared_float_range(scale):
 def test_normalize_refuses_zero_and_non_finite_vectors(amplitudes):
     with pytest.raises(NotNormalizedError):
         normalize(amplitudes)
+
+
+def test_normalize_and_evolve_validate_no_state_again(monkeypatch):
+    # Each builds a unit vector by construction and adopts it, as the engine
+    # does: no copy, no second pass over the norm.
+    h, state = Hamiltonian(gates.X.matrix), zero_state(1)
+
+    def refuse(self):
+        raise AssertionError("a StateVector was validated again")
+
+    monkeypatch.setattr(StateVector, "__post_init__", refuse)
+    np.testing.assert_allclose(normalize([3, 4]).amplitudes, [0.6, 0.8], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(evolve(h, np.pi / 2, state).amplitudes, [0.0, -1j], rtol=0, atol=1e-12)
 
 
 def test_basis_and_zero_states():
