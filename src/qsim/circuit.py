@@ -23,9 +23,8 @@ the tile is one piece; where a kernel would copy it back, the two trade places.
 - "window", a run folded to a 2**k x 2**k matrix on a group's k wires, or a
   lone dense 1-qubit gate: one matmul per piece of the view (outer, 2**k,
   inner) into the tile, copied back; at inner 1, rows of 2**k times the
-  transpose, one zgemm. A piece keeps (2**k, inner) slabs whole, so the
-  bits do not depend on the cut; only a one-wire window cuts a slab that
-  outgrows the tile.
+  transpose, one zgemm. Every matmul piece keeps 4 columns, or all of
+  them, so the bits do not depend on the cut.
 - "move", a lone monomial gate or a run that folds to a monomial: each
   block is re-phased or moved one piece at a time, each one
   ``np.multiply(phase, src, out=dst)``, phase 1 included, which numpy makes
@@ -242,7 +241,8 @@ def _schedule(instructions, low: int, width: int, spread: bool = False) -> list:
             items.append([kind, set(), []])
         items[target][1].update(ws)
         items[target][2].append(instr)
-        latest.update(dict.fromkeys(ws, target))
+        for w in ws:
+            latest[w] = target
     return items
 
 
@@ -275,18 +275,17 @@ def _plan(circuit: Circuit, nbits: int) -> list:
 def _run(plan, buf):
     """U @ buf: each pass of ``plan`` on the row bits of ``buf``, on the kernel of its kind.
 
-    The tile holds ``min(TILE, buf.size)`` entries, raised to a row of the
-    last group, eight entries per block of a dense pass and a slab of a
-    window of k > 1 wires should that be smaller. The result is ``buf`` or
-    the tile, shaped like ``buf``.
+    The tile holds ``min(TILE, buf.size)`` entries, raised to four columns
+    of a window's 2**k rows, or all of them, and to eight entries per block
+    of a dense pass. The result is ``buf`` or the tile, shaped like ``buf``.
     """
     flat = buf.reshape(-1)
     nbits = flat.size.bit_length() - 1
-    # A dense piece and its gather fill the tile, so a cut leaves P >= 4 columns a
-    # block: OpenBLAS zgemm gives a column the same bits at every P from 4 up, not at 1 or 2.
-    widest = [min(BLOCK_BITS, nbits)] + [len(ws) + 3 for kernel, ws, _ in plan if kernel == "dense"]
-    widest += [nbits - ws[0] if len(ws) > 1 else 1 for kernel, ws, _ in plan if kernel == "window"]
-    tile = np.empty(max(min(TILE, flat.size), 1 << max(widest)), dtype=flat.dtype)
+    # A cut leaves every matmul P >= 4 columns, a dense one beside its gather: OpenBLAS
+    # zgemm gives a column the same bits at every P from 4 up, not at 1 or 2.
+    widest = [len(ws) + 3 if kernel == "dense" else min(len(ws) + 2, nbits)
+              for kernel, ws, _ in plan if kernel in ("window", "dense")]
+    tile = np.empty(max(min(TILE, flat.size), 1 << max(widest, default=0)), dtype=flat.dtype)
     for kernel, wires, operand in plan:
         k = len(wires)
         if kernel == "scale":
@@ -376,33 +375,23 @@ def unitary(circuit: Circuit) -> np.ndarray:
 def embed(gate: Gate, wires, num_qubits: int) -> np.ndarray:
     """Full 2**n x 2**n unitary acting as ``gate`` on ``wires``, identity elsewhere.
 
-    Built entry by entry from the basis-state action, deliberately
-    independent of the gate engine so the two can check each other.
+    Built from the basis-state action, one output row of the gate at a time
+    over all 2**n columns, deliberately independent of the gate engine so
+    the two can check each other.
     """
     ws = Instruction(gate, wires).wires
     if any(w >= num_qubits for w in ws):
         raise WireOutOfRangeError(f"wires {ws} out of range for {num_qubits} qubits")
     capacity.check("unitary", num_qubits)
-    m = gate.arity
-    dim = 1 << num_qubits
-    # Bit position of wire w in the basis index (qubit 0 is the MSB).
-    shifts = [num_qubits - 1 - w for w in ws]
-    full = np.zeros((dim, dim), dtype=np.complex128)
-    for col in range(dim):
-        sub_in = 0
-        for j, shift in enumerate(shifts):
-            sub_in |= ((col >> shift) & 1) << (m - 1 - j)
-        cleared = col
-        for shift in shifts:
-            cleared &= ~(1 << shift)
-        for sub_out in range(1 << m):
-            amp = gate.matrix[sub_out, sub_in]
-            if amp == 0.0:
-                continue
-            row = cleared
-            for j, shift in enumerate(shifts):
-                row |= ((sub_out >> (m - 1 - j)) & 1) << shift
-            full[row, col] += amp
+    cols = np.arange(1 << num_qubits)
+    # Bit position of each wire in a basis index (qubit 0 is the MSB), and its
+    # place value in the gate's sub-index (the first wire is the most significant).
+    shifts, places = num_qubits - 1 - np.array(ws), np.arange(gate.arity)[::-1]
+    sub_in = ((cols[:, None] >> shifts) & 1) @ (1 << places)
+    cleared = cols & ~np.bitwise_or.reduce(1 << shifts)
+    full = np.zeros((cols.size, cols.size), dtype=np.complex128)
+    for sub_out in range(1 << gate.arity):
+        full[cleared | ((sub_out >> places) & 1) @ (1 << shifts), cols] += gate.matrix[sub_out, sub_in]
     return full
 
 

@@ -13,7 +13,8 @@ Grammar (UTF-8; LF, CRLF and a lone CR each end a line, as in a text-mode
 
 cnot wires read control then target. Canonical output (``serialize``) uses
 lowercase gate labels, single spaces, one instruction per line, and a
-trailing newline; parse(serialize(c)) == c for every valid circuit.
+trailing newline; it refuses a gate that is not the library gate of its
+label, so parse(serialize(c)) == c for every circuit it writes.
 
 Errors carry a 1-based line and column pointing at the offending token,
 and the first error wins.
@@ -23,7 +24,7 @@ import enum
 import re
 
 from .circuit import Circuit, Instruction
-from .errors import QsimError
+from .errors import QsimError, UnknownGateError
 from .gates import LIBRARY
 
 
@@ -172,8 +173,10 @@ def parse(source: str) -> Circuit:
 
 
 def serialize(circuit: Circuit) -> str:
-    """Canonical text form of a circuit."""
+    """Canonical text form of a circuit of library gates; any other gate raises :class:`UnknownGateError`."""
     out = [f"qubits {circuit.num_qubits}"]
     for instr in circuit.instructions:
+        if LIBRARY.get(instr.gate.label) != instr.gate:
+            raise UnknownGateError(f"qcf has no name for {instr.gate!r}: it is not the library gate of its label")
         out.append(" ".join([instr.gate.label.lower(), *map(str, instr.wires)]))
     return "\n".join(out) + "\n"

@@ -13,6 +13,7 @@ integers by :func:`~qsim.numerics.as_index` and checks the statevector cap
 before it allocates: over the cap, the array alone can exhaust memory.
 """
 
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -215,9 +216,10 @@ def from_ensemble(ensemble: MixedEnsemble) -> DensityMatrix:
     entries = list(ensemble)
     if not entries:
         raise ProbabilityError("ensemble must contain at least one entry")
-    probs = [float(p) for p, _ in entries]
-    if any(not 0.0 <= p <= 1.0 for p in probs):
-        raise ProbabilityError(f"ensemble probabilities must lie in [0, 1], got {probs}")
+    probs = [p for p, _ in entries]
+    if any(not isinstance(p, numbers.Real) or not 0.0 <= p <= 1.0 for p in probs):
+        raise ProbabilityError(f"ensemble probabilities must be real numbers in [0, 1], got {probs}")
+    probs = list(map(float, probs))
     total = sum(probs)
     if abs(total - 1.0) > numerics.DEFAULT_TOL:
         raise ProbabilityError(f"ensemble probabilities sum to {total!r}, expected 1")
@@ -226,7 +228,7 @@ def from_ensemble(ensemble: MixedEnsemble) -> DensityMatrix:
         raise DimensionMismatchError("all ensemble states must share one qubit count")
     dim = 1 << n
     acc = np.zeros((dim, dim), dtype=np.complex128)
-    for p, s in entries:
+    for p, (_, s) in zip(probs, entries):
         acc += p * _projector(s.amplitudes)
     return adopt_density(acc)
 

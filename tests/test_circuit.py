@@ -278,6 +278,21 @@ class TestEmbed:
         with pytest.raises(DuplicateWireError):
             embed(gates.CNOT, [0, 0], 2)
 
+    def test_dense_gate_on_scattered_wires_is_its_basis_action(self, rng):
+        # Column col carries the gate's column of col's bits on wires (4, 0, 2),
+        # the first the most significant, written back onto those bits.
+        n, wires = 5, (4, 0, 2)
+        u = random_unitary(rng, 8)
+        expected = np.zeros((1 << n, 1 << n), dtype=np.complex128)
+        for col in range(1 << n):
+            bits = [(col >> (n - 1 - w)) & 1 for w in range(n)]
+            sub_in = int("".join(str(bits[w]) for w in wires), 2)
+            for sub_out in range(8):
+                for j, w in enumerate(wires):
+                    bits[w] = (sub_out >> (2 - j)) & 1
+                expected[int("".join(map(str, bits)), 2), col] = u[sub_out, sub_in]
+        np.testing.assert_array_equal(embed(gates.Gate("U", 3, u), wires, n), expected)
+
 
 class TestUnitaryOf:
     def test_empty_single_qubit(self):
@@ -559,11 +574,11 @@ class TestKernels:
     def test_every_kernel_in_pieces(self, tile, monkeypatch, rng, random_state):
         # One plan gives the same bits however it is cut. Each circuit's
         # plan is made once at the default tile and once at half the state,
-        # and run whole and at a tile of 16 (4 is raised to a row of the
-        # trailing window) or 64 entries: the trailing window into rows,
-        # one-wire windows along the stride (wires 0-1) and along outer
-        # (wires 2-3 at 64), monomial cycles and dense 2- and 3-qubit
-        # blocks. A window of more wires is cut along outer only.
+        # and run whole and at a tile of 4, 16 or 64 entries, raised to four
+        # columns of a window and eight entries a block of a dense pass:
+        # windows of four wires along inner and into rows, one-wire windows
+        # along the stride (wires 0-1) and along outer (wires 2-3 at 64),
+        # monomial cycles and dense 2- and 3-qubit blocks.
         s = random_state(rng, self.N)
         for name, c in self.every_kernel(rng, self.N).items():
             counts = []
@@ -618,6 +633,60 @@ class TestKernels:
         out = engine._run(plan, s.amplitudes.copy())
         monkeypatch.setattr(engine, "TILE", 1 << n)
         np.testing.assert_array_equal(out, engine._run(plan, s.amplitudes.copy()))
+
+    @pytest.mark.parametrize("n", [12, 13, 14, 15])
+    def test_windows_of_every_width_keep_their_bits_at_any_tile(self, n, monkeypatch, rng, random_state):
+        # Planned at the default tile, which n qubits fit: every group of four
+        # wires holds a window, the first one 1-4 wires wide as n varies,
+        # and the user gate on wires n-5 and n-4 spans two groups, a dense
+        # pass. Run at tiles of 4 ... 4096 entries, each window is cut along
+        # inner or outer into pieces of at least four columns, with the
+        # uncut run's bits.
+        def user(*wires):
+            return Instruction(gates.Gate("U", len(wires), random_unitary(rng, 1 << len(wires))), wires)
+
+        instrs = [Instruction(gates.H, (w,)) for w in range(n)]
+        instrs += [user(0), user(1, 2), user(n - 1, n - 3, n - 2), user(n - 5, n - 4), user(n - 4)]
+        instrs += [Instruction(gates.CNOT, (n - 5, 2)), Instruction(gates.T, (5,)), Instruction(gates.S, (n - 1,))]
+        plan = engine._plan(Circuit(n, instrs), n)
+        kinds = {(kernel, len(wires)) for kernel, wires, _ in plan}
+        assert {("window", n % BLOCK_BITS or BLOCK_BITS), ("window", BLOCK_BITS), ("dense", 2)} <= kinds
+        s = random_state(rng, n)
+        monkeypatch.setattr(engine, "TILE", 1 << n)
+        whole = engine._run(plan, s.amplitudes.copy())
+        for bits in range(2, 13):
+            counts = []
+            pieces = engine._pieces
+
+            def spy(shape, limit):
+                cut = pieces(shape, limit)
+                counts.append(len(cut))
+                return cut
+
+            with monkeypatch.context() as patch:
+                patch.setattr(engine, "TILE", 1 << bits)
+                patch.setattr(engine, "_pieces", spy)
+                out = engine._run(plan, s.amplitudes.copy())
+            np.testing.assert_array_equal(out, whole)
+            assert max(counts) > 1
+
+    def test_a_cut_window_holds_a_tile_not_a_slab(self, monkeypatch):
+        # Three windows of four wires, planned at the default tile, which 12
+        # qubits fit, and run at a tile of 2**8 entries: the window on wires
+        # 0-3, whose slab is the whole state, is cut to the tile too, so the
+        # peak is the state's copy and the tile, not two states.
+        n = 12
+        plan = engine._plan(Circuit(n, [Instruction(gates.H, (w,)) for w in range(n)]), n)
+        assert [(kernel, len(wires)) for kernel, wires, _ in plan] == [("window", BLOCK_BITS)] * 3
+        s = zero_state(n)
+        monkeypatch.setattr(engine, "TILE", 1 << 8)
+        tracemalloc.start()
+        try:
+            engine._run(plan, s.amplitudes.copy())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 16 * 2**n
 
     @pytest.mark.parametrize("n", range(1, BLOCK_BITS + 1))
     def test_circuits_no_wider_than_the_block(self, n, rng, random_circuit, random_state):

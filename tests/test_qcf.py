@@ -3,6 +3,7 @@ import pytest
 from qsim import gates
 from qsim.algorithms import bell_circuit
 from qsim.circuit import Circuit, Instruction
+from qsim.errors import UnknownGateError
 from qsim.qcf import ParseError, ParseErrorKind, decode, parse, serialize
 
 BELL_TEXT = "qubits 2\nh 0\ncnot 0 1\n"
@@ -165,3 +166,19 @@ class TestSerialize:
         for _ in range(100):
             text = serialize(random_circuit(rng))
             assert serialize(parse(text)) == text
+
+    @pytest.mark.parametrize(
+        "gate",
+        [
+            gates.Gate("H", 1, gates.X.matrix),  # a library label on another matrix
+            gates.Gate("h", 1, gates.H.matrix),  # parse would name it "H"
+            gates.Gate("U", 1, gates.H.matrix),  # a label qcf does not know
+            gates.Gate("CNOT", 2, gates.SWAP.matrix),
+        ],
+        ids=["H-of-X", "lowercase-h", "U", "CNOT-of-SWAP"],
+    )
+    def test_refuses_a_gate_that_would_not_parse_back(self, gate):
+        # Writing the label alone would change the circuit or give text parse refuses.
+        c = Circuit(2, [Instruction(gates.H, (0,)), Instruction(gate, tuple(range(gate.arity)))])
+        with pytest.raises(UnknownGateError):
+            serialize(c)

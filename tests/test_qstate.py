@@ -201,6 +201,18 @@ class TestFromEnsemble:
         with pytest.raises(ProbabilityError):
             from_ensemble([(float("nan"), zero_state(1))])
 
+    @pytest.mark.parametrize(
+        "weight", ["1", None, 1 + 0j, np.complex128(1), b"1"], ids=["str", "None", "complex", "np-complex", "bytes"]
+    )
+    def test_rejects_a_weight_that_is_not_a_real_number(self, weight):
+        # float("1") is 1.0, but the sum of a str weight and a projector is a numpy type error.
+        with pytest.raises(ProbabilityError):
+            from_ensemble([(weight, zero_state(1))])
+
+    def test_integer_and_numpy_weights_are_read_as_floats(self):
+        rho = from_ensemble([(1, zero_state(1)), (np.float32(0), basis_state(1, 1))])
+        np.testing.assert_array_equal(rho.matrix, to_density(zero_state(1)).matrix)
+
     def test_rejects_empty(self):
         with pytest.raises(ProbabilityError):
             from_ensemble([])
