@@ -10,6 +10,7 @@ its squared Frobenius norm, classifies, and the base-2 von Neumann entropy
 of its eigenvalues quantifies (0 for product states, min(|A|, |B|) at most).
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,11 +111,11 @@ def entanglement_entropy(state: StateVector, part: Bipartition) -> float:
 def is_entangled(state: StateVector, part: Bipartition, tol: float = 1e-9) -> bool:
     """True iff the reduction onto side A is mixed (purity below 1 - tol).
 
-    ``tol`` must be a finite number in [0, 1). The purity Tr(rho_A^2) is the
+    ``tol`` must be a real number in [0, 1). The purity Tr(rho_A^2) is the
     squared Frobenius norm of the Hermitian reduced matrix, so no
     decomposition runs.
     """
-    if not 0.0 <= tol < 1.0:
-        raise QsimError(f"tol must be a finite number in [0, 1), got {tol!r}")
+    if not isinstance(tol, numbers.Real) or not 0.0 <= tol < 1.0:
+        raise QsimError(f"tol must be a real number in [0, 1), got {tol!r}")
     gram = _reduced(state, part)
     return float(np.vdot(gram, gram).real) < 1.0 - tol

@@ -1,32 +1,34 @@
 """Closed-system time evolution under a time-independent Hamiltonian.
 
-States evolve by the unitary U = exp(-i H t / hbar), built spectrally in
-:mod:`qsim.numerics`; density matrices by conjugation with the same U.
-Natural units (hbar = 1) are the default, but the constant is a field so
-it can be varied. A Hamiltonian's dimension is capped like an explicit
-unitary's, before any O(d^3) work.
+A :class:`Hamiltonian` is diagonalized once, when it is built, by
+:func:`qsim.numerics.eig_hermitian`, its one Hermiticity check. Each
+propagator U = exp(-i H t / hbar) is then a phase on every stored
+eigenvector; density matrices evolve by conjugation with U. hbar is 1 by
+default. The dimension is capped like a unitary's, before any O(d^3) work.
 """
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import capacity, numerics
-from .errors import CapacityError, DimensionMismatchError, NotHermitianError, QsimError
+from .errors import CapacityError, DimensionMismatchError, QsimError
 from .qstate import DensityMatrix, StateVector, adopt_density, adopt_state
 
 
 @dataclass(frozen=True, slots=True, eq=False)
 class Hamiltonian:
-    """A Hermitian energy operator with its hbar convention."""
+    """A Hermitian energy operator with its hbar convention and its spectrum."""
 
     matrix: np.ndarray
     hbar: float = 1.0
+    spectrum: numerics.EigenDecomposition = field(init=False)
 
     def __post_init__(self):
         m = numerics.as_matrix(self.matrix)
-        # The propagator is an O(d^3) eigendecomposition: cap d as for unitaries.
+        # The eigendecomposition is O(d^3): cap d as for unitaries.
         # By bit length: 1 << cap of a huge QSIM_MAX_QUBITS would not fit in memory.
         cap = capacity.limit("unitary")
         if (m.shape[0] - 1).bit_length() > cap:
@@ -34,12 +36,11 @@ class Hamiltonian:
                 f"Hamiltonian dimension {m.shape[0]} exceeds {1 << cap}, "
                 f"the unitary path's limit of {cap} qubits"
             )
-        m = m.copy()
-        if not numerics.is_hermitian(m):
-            raise NotHermitianError("Hamiltonian must be Hermitian")
-        if not (self.hbar > 0.0 and math.isfinite(self.hbar)):
+        if not (isinstance(self.hbar, numbers.Real) and self.hbar > 0.0 and math.isfinite(self.hbar)):
             raise QsimError(f"hbar must be a positive finite real, got {self.hbar!r}")
+        m = m.copy()
         m.setflags(write=False)
+        object.__setattr__(self, "spectrum", numerics.eig_hermitian(m))
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "hbar", float(self.hbar))
 
@@ -47,10 +48,15 @@ class Hamiltonian:
         return f"Hamiltonian(dim={self.matrix.shape[0]}, hbar={self.hbar})"
 
     def propagator(self, duration: float) -> np.ndarray:
-        """exp(-i H duration / hbar)."""
-        if not math.isfinite(duration):
-            raise QsimError(f"duration must be finite, got {duration!r}")
-        return numerics.matexp_skew_hermitian(self.matrix, duration / self.hbar)
+        """exp(-i H duration / hbar) from the spectrum; a phase past the float range is refused."""
+        if not isinstance(duration, numbers.Real) or not math.isfinite(duration):
+            raise QsimError(f"duration must be a finite real, got {duration!r}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            phases = self.spectrum.eigenvalues * (duration / self.hbar)
+        if not np.isfinite(phases).all():
+            raise QsimError(f"evolution phase of h times {duration / self.hbar!r} is not finite")
+        v = self.spectrum.eigenvectors
+        return (v * np.exp(-1j * phases)) @ v.conj().T
 
 
 def evolve(h: Hamiltonian, duration: float, state: StateVector) -> StateVector:

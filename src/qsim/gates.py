@@ -65,7 +65,7 @@ class Gate:
     cycles: tuple | None = field(init=False)
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.complex128).copy()
+        m = numerics.as_complex(self.matrix, NotUnitaryError, copy=True)
         k = numerics.as_index(self.arity)
         d = m.shape[0] if m.ndim == 2 else 0
         # Bit lengths first: 2**k of an unchecked huge arity would not fit in memory.

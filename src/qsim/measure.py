@@ -26,6 +26,7 @@ encoder, which ``indent`` would turn off.
 import csv
 import io
 import json
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -219,8 +220,8 @@ def _pick(probs: np.ndarray, cum: np.ndarray, draws: np.ndarray) -> np.ndarray:
 def _check_draw(rng_draw: float) -> None:
     # Outside [0, 1), NaN included, CDF inversion could pick an outcome of
     # probability 0.
-    if not 0.0 <= rng_draw < 1.0:
-        raise ProbabilityError(f"draw must lie in [0, 1), got {rng_draw!r}")
+    if not isinstance(rng_draw, numbers.Real) or not 0.0 <= rng_draw < 1.0:
+        raise ProbabilityError(f"draw must be a real number in [0, 1), got {rng_draw!r}")
 
 
 def measure_all(state: StateVector, rng_draw: float) -> MeasurementRecord:

@@ -4,9 +4,10 @@ Matrices are plain ``numpy.ndarray`` values in complex128, row-major, and
 treated as immutable by every routine here (inputs are never written to,
 outputs are fresh arrays). The module provides the handful of primitives
 the rest of the package is built on: :func:`as_index`, the one reader of
-every integer argument, coercion to a checked matrix, unitarity/Hermiticity
-predicates, the one Hermitian eigendecomposition (LAPACK ``eigh``), and
-the spectral matrix exponential exp(-i*H*theta) built from it. The tests'
+every integer argument, :func:`as_complex`, the one reader of every
+complex array argument, coercion to a checked matrix, unitarity/Hermiticity
+predicates, and the one Hermitian eigendecomposition (LAPACK ``eigh``),
+from which :class:`~qsim.evolve.Hamiltonian` keeps its spectrum. The tests'
 brute-force products, Kronecker products, adjoints and cyclic-Jacobi
 eigensolver live in ``tests/oracles.py``.
 
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NotHermitianError, NotSquareError, QsimError
+from .errors import DimensionMismatchError, NotHermitianError, NotSquareError
 
 DEFAULT_TOL = 1e-10
 
@@ -41,9 +42,22 @@ def as_index(value):
         return None
 
 
+def as_complex(a, error, copy: bool = False) -> np.ndarray:
+    """``a`` as a complex128 array, a fresh one if ``copy``.
+
+    What numpy cannot read as one, such as a str entry, a ragged list or an
+    int past the float range, raises ``error``, the caller's error for a
+    non-finite entry.
+    """
+    try:
+        return (np.array if copy else np.asarray)(a, dtype=np.complex128)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise error(f"entries are not complex numbers: {exc}") from None
+
+
 def as_matrix(a) -> np.ndarray:
     """Coerce to a finite 2-D complex128 array (copies only if needed)."""
-    m = np.asarray(a, dtype=np.complex128)
+    m = as_complex(a, DimensionMismatchError)
     if m.ndim != 2:
         raise DimensionMismatchError(f"expected a 2-D matrix, got ndim={m.ndim}")
     if not np.isfinite(m).all():
@@ -108,18 +122,3 @@ def eig_hermitian(a) -> EigenDecomposition:
         raise NotHermitianError("expected a Hermitian matrix")
     values, vectors = np.linalg.eigh(m)
     return EigenDecomposition(values, vectors)
-
-
-def matexp_skew_hermitian(h, theta: float) -> np.ndarray:
-    """Unitary exp(-i * h * theta) for Hermitian ``h`` from :func:`eig_hermitian`.
-
-    A phase ``h * theta`` that is not finite, as from a non-finite ``theta``
-    or one past the float range, is refused: its exponential would be nan.
-    """
-    d = eig_hermitian(h)
-    with np.errstate(over="ignore", invalid="ignore"):
-        phases = d.eigenvalues * theta
-    if not np.isfinite(phases).all():
-        raise QsimError(f"evolution phase of h times {theta!r} is not finite")
-    v = d.eigenvectors
-    return (v * np.exp(-1j * phases)) @ v.conj().T

@@ -56,7 +56,7 @@ class StateVector:
     num_qubits: int = field(init=False)
 
     def __post_init__(self):
-        amps = np.array(self.amplitudes, dtype=np.complex128).reshape(-1)
+        amps = numerics.as_complex(self.amplitudes, NotNormalizedError, copy=True).reshape(-1)
         n = _num_qubits_for(amps.size)
         if not np.isfinite(amps).all():
             raise NotNormalizedError("amplitudes must be finite")
@@ -167,7 +167,7 @@ def normalize(amplitudes) -> StateVector:
     A finite vector whose squared sum leaves the normal float range is first
     divided by its largest real or imaginary part.
     """
-    amps = np.array(amplitudes, dtype=np.complex128).reshape(-1)
+    amps = numerics.as_complex(amplitudes, NotNormalizedError, copy=True).reshape(-1)
     with np.errstate(over="ignore"):
         sumsq = _sumsq(amps)
     if not np.finfo(np.float64).tiny <= sumsq < np.inf:

@@ -25,7 +25,7 @@ from qsim.cli import main
 from qsim.entangle import Bipartition, entanglement_entropy
 from qsim.evolve import Hamiltonian, evolve
 from qsim.measure import probabilities, sample
-from qsim.numerics import eig_hermitian, is_unitary, matexp_skew_hermitian
+from qsim.numerics import eig_hermitian, is_unitary
 from qsim.observables import Observable, robertson_check
 from qsim.qstate import from_amplitudes, from_ensemble, inner_product, to_density, zero_state
 
@@ -165,7 +165,7 @@ def test_criterion_8_invariant_suite():
         dim = int(rng.integers(1, 9))
         a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         h = (a + a.conj().T) / 2
-        assert is_unitary(matexp_skew_hermitian(h, float(rng.standard_normal())), 1e-10)
+        assert is_unitary(Hamiltonian(h).propagator(float(rng.standard_normal())), 1e-10)
 
     # Norm, trace, and positivity preservation through circuit execution.
     for _ in range(100):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from qsim import gates
-from qsim.errors import CapacityError, DimensionMismatchError, NotHermitianError, QsimError
+from qsim import gates, numerics
+from qsim.entangle import Bipartition, is_entangled
+from qsim.errors import CapacityError, DimensionMismatchError, NotHermitianError, ProbabilityError, QsimError
 from qsim.evolve import Hamiltonian, evolve, evolve_density
+from qsim.measure import measure_all
 from qsim.observables import Observable, expectation
 from qsim.qstate import basis_state, purity, to_density, zero_state
 
@@ -36,6 +38,30 @@ class TestHamiltonian:
     def test_rejects_nonfinite_duration(self):
         with pytest.raises(QsimError):
             evolve(H_Z, np.inf, zero_state(1))
+
+    def test_propagation_runs_no_eigensolver_and_no_hermiticity_check(
+        self, monkeypatch, rng, random_state, random_hermitian
+    ):
+        h = Hamiltonian(random_hermitian(rng, 8))
+        s = random_state(rng, 3)
+        expected = (h.propagator(0.3), evolve(h, 0.3, s).amplitudes, evolve_density(h, 0.3, to_density(s)).matrix)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the spectrum was computed again after construction")
+
+        monkeypatch.setattr(numerics, "eig_hermitian", refuse)
+        monkeypatch.setattr(numerics, "is_hermitian", refuse)
+        np.testing.assert_array_equal(h.propagator(0.3), expected[0])
+        np.testing.assert_array_equal(evolve(h, 0.3, s).amplitudes, expected[1])
+        np.testing.assert_array_equal(evolve_density(h, 0.3, to_density(s)).matrix, expected[2])
+
+    def test_propagator_is_the_spectral_formula_bit_for_bit(self, rng, random_hermitian):
+        for dim in (1, 2, 3, 16, 64):
+            m = random_hermitian(rng, dim)
+            hbar, t = float(rng.uniform(0.5, 2.0)), float(rng.uniform(-3.0, 3.0))
+            values, vectors = np.linalg.eigh(m)
+            expected = (vectors * np.exp(-1j * (values * (t / hbar)))) @ vectors.conj().T
+            np.testing.assert_array_equal(Hamiltonian(m, hbar).propagator(t), expected)
 
     @pytest.mark.parametrize(
         "run",
@@ -131,3 +157,21 @@ class TestEvolveDensity:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             evolve_density(H_X, 1.0, to_density(zero_state(2)))
+
+
+SITES = {
+    "hbar": (lambda v: Hamiltonian(gates.Z.matrix, hbar=v), QsimError),
+    "duration": (lambda v: evolve(H_Z, v, zero_state(1)), QsimError),
+    "draw": (lambda v: measure_all(zero_state(1), v), ProbabilityError),
+    "tol": (lambda v: is_entangled(zero_state(2), Bipartition.split(2, [0]), tol=v), QsimError),
+}
+
+
+@pytest.mark.parametrize("value", ["0.5", 1j, None], ids=["str", "complex", "None"])
+@pytest.mark.parametrize("site", list(SITES))
+def test_a_real_argument_refuses_a_non_real(site, value):
+    # numbers.Real is the rule from_ensemble reads its weights by; a str,
+    # complex or None once reached a comparison and raised a raw TypeError.
+    run, error = SITES[site]
+    with pytest.raises(error, match=site):
+        run(value)

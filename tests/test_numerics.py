@@ -9,9 +9,14 @@ from qsim.errors import (
     CapacityError,
     DimensionMismatchError,
     NotHermitianError,
+    NotNormalizedError,
     NotSquareError,
+    NotUnitaryError,
 )
-from qsim.numerics import eig_hermitian, is_hermitian, is_unitary, matexp_skew_hermitian
+from qsim.evolve import Hamiltonian
+from qsim.numerics import eig_hermitian, is_hermitian, is_unitary
+from qsim.observables import Observable
+from qsim.qstate import DensityMatrix, StateVector, normalize
 
 I2 = identity(2)
 X = gates.X.matrix
@@ -219,12 +224,12 @@ class TestEigHermitian:
 
 class TestMatexp:
     def test_zero_angle(self):
-        np.testing.assert_allclose(matexp_skew_hermitian(X, 0.0), I2, atol=1e-12)
+        np.testing.assert_allclose(Hamiltonian(X).propagator(0.0), I2, atol=1e-12)
 
     def test_diagonal_hamiltonian(self):
         t = 0.37
         np.testing.assert_allclose(
-            matexp_skew_hermitian(Z, t),
+            Hamiltonian(Z).propagator(t),
             np.diag([np.exp(-1j * t), np.exp(1j * t)]),
             atol=1e-12,
         )
@@ -232,17 +237,17 @@ class TestMatexp:
     def test_x_half_pi_gives_minus_i_x(self):
         # Spectral expansion with eigenvalues +-1: exp(-iX pi/2) = -iX exactly.
         np.testing.assert_allclose(
-            matexp_skew_hermitian(X, np.pi / 2), -1j * X, atol=1e-12
+            Hamiltonian(X).propagator(np.pi / 2), -1j * X, atol=1e-12
         )
 
     def test_always_unitary(self, rng, random_hermitian):
         for _ in range(40):
             h = random_hermitian(rng, int(rng.integers(1, 9)))
-            assert is_unitary(matexp_skew_hermitian(h, float(rng.standard_normal())), 1e-10)
+            assert is_unitary(Hamiltonian(h).propagator(float(rng.standard_normal())), 1e-10)
 
     def test_requires_hermitian(self):
         with pytest.raises(NotHermitianError):
-            matexp_skew_hermitian(S, 1.0)
+            Hamiltonian(S).propagator(1.0)
 
     def test_matches_jacobi_propagator(self, rng, random_hermitian):
         for dim in range(1, 17):
@@ -250,4 +255,30 @@ class TestMatexp:
             theta = float(rng.standard_normal())
             d = jacobi_eig_hermitian(h)
             expected = (d.eigenvectors * np.exp(-1j * d.eigenvalues * theta)) @ d.eigenvectors.conj().T
-            np.testing.assert_allclose(matexp_skew_hermitian(h, theta), expected, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(Hamiltonian(h).propagator(theta), expected, rtol=0, atol=1e-10)
+
+
+# Each boundary that reads an array: its error for a NaN entry, and the
+# number of dimensions its input has.
+READERS = {
+    "as_matrix": (numerics.as_matrix, DimensionMismatchError, 2),
+    "is_hermitian": (is_hermitian, DimensionMismatchError, 2),
+    "DensityMatrix": (DensityMatrix, DimensionMismatchError, 2),
+    "Observable": (lambda m: Observable("o", m), DimensionMismatchError, 2),
+    "Hamiltonian": (Hamiltonian, DimensionMismatchError, 2),
+    "Gate": (lambda m: gates.Gate("U", 1, m), NotUnitaryError, 2),
+    "StateVector": (StateVector, NotNormalizedError, 1),
+    "normalize": (normalize, NotNormalizedError, 1),
+}
+
+
+@pytest.mark.parametrize("entry", [float("nan"), "a", 10**400, "ragged"], ids=["nan", "str", "huge-int", "ragged"])
+@pytest.mark.parametrize("reader", list(READERS))
+def test_entries_numpy_cannot_read_raise_the_nan_error(reader, entry):
+    read, error, ndim = READERS[reader]
+    if entry == "ragged":
+        value = [[1], [0, 1]]
+    else:
+        value = [[entry, 0], [0, 1]] if ndim == 2 else [entry, 0]
+    with pytest.raises(error):
+        read(value)
